@@ -100,7 +100,7 @@ SweepPoint RunSweepPoint(const api::SegmentResult& segment,
   lat.reserve(probes.size());
   for (const dist::Sequence& probe : probes) {
     auto t0 = Clock::now();
-    auto hits = db.FindSimilar(probe, 10);
+    auto hits = db.Query(api::QuerySpec::Similar(probe, 10));
     lat.push_back(MicrosSince(t0));
     point.first_hit_ids.push_back(hits.empty() ? ~size_t{0}
                                                : hits.front().og_id);

@@ -11,7 +11,7 @@
 //                     contract, asserted here on the bench workload too).
 //   single_closed   — C closed-loop clients replaying the mix through one
 //                     QueryEngine (the baseline).
-//   sharded_closed  — the same replay through a ShardedQueryEngine.
+//   sharded_closed  — the same replay through an N-shard QueryEngine.
 //   sharded_overload— open-loop arrivals at 2x the measured sharded
 //                     capacity against a small admission bound: overload
 //                     must shed as typed kOverloaded (never queue without
@@ -41,7 +41,6 @@
 
 #include "bench_common.h"
 #include "server/query_engine.h"
-#include "server/sharded_engine.h"
 #include "synth/generator.h"
 
 namespace strg {
@@ -239,7 +238,7 @@ struct OverloadResult {
 /// Open loop: a dispatcher paces Submit() calls at a fixed arrival rate
 /// regardless of completions (the non-blocking half of the API). Overload
 /// must surface as immediate typed kOverloaded, never as unbounded queueing.
-OverloadResult RunOpenLoopOverload(server::ShardedQueryEngine* engine,
+OverloadResult RunOpenLoopOverload(server::QueryEngine* engine,
                                    const Workload& w, double offered_qps,
                                    size_t n_requests, size_t max_pending,
                                    double capacity_qps) {
@@ -324,9 +323,10 @@ bool CheckEquivalence(const Workload& w, size_t num_shards) {
   server::EngineOptions so;
   so.num_threads = 1;
   server::QueryEngine single(IndexParams(), so);
-  server::ShardedEngineOptions sh;
+  server::EngineOptions sh;
   sh.num_shards = num_shards;
-  server::ShardedQueryEngine sharded(IndexParams(), sh);
+  sh.num_threads = 0;  // hardware concurrency
+  server::QueryEngine sharded(IndexParams(), sh);
   FeedBase(&single, w);
   FeedBase(&sharded, w);
 
@@ -415,10 +415,11 @@ int main() {
   // -- Phase 2: the same replay, scatter-gathered over the shards. --
   PhaseResult sharded;
   {
-    server::ShardedEngineOptions sh;
+    server::EngineOptions sh;
     sh.num_shards = shards;
+    sh.num_threads = 0;  // hardware concurrency
     sh.max_pending = 4096;
-    server::ShardedQueryEngine engine(IndexParams(), sh);
+    server::QueryEngine engine(IndexParams(), sh);
     auto ids = FeedBase(&engine, w);
     sharded = RunClosedLoop("sharded_closed", &engine, ids, w, clients,
                             closed_requests);
@@ -434,10 +435,11 @@ int main() {
   OverloadResult over;
   const size_t over_pending = 64;
   {
-    server::ShardedEngineOptions sh;
+    server::EngineOptions sh;
     sh.num_shards = shards;
+    sh.num_threads = 0;  // hardware concurrency
     sh.max_pending = over_pending;
-    server::ShardedQueryEngine engine(IndexParams(), sh);
+    server::QueryEngine engine(IndexParams(), sh);
     FeedBase(&engine, w);
     const double offered = 2.0 * sharded.qps;
     const size_t n = std::min<size_t>(

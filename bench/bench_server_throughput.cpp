@@ -137,13 +137,16 @@ PhaseResult RunSerialDirect(const Workload& w, size_t requests) {
     Request r = PickRequest(&rng, w, /*allow_ingest=*/true);
     switch (r.kind) {
       case Request::kKnn:
-        sink += db.FindSimilar(w.queries[r.query], kKnnK).size();
+        sink += db.Query(api::QuerySpec::Similar(w.queries[r.query], kKnnK))
+                    .size();
         break;
       case Request::kRange:
-        sink += db.FindWithinRadius(w.queries[r.query], kRangeRadius).size();
+        sink += db.Query(api::QuerySpec::WithinRadius(w.queries[r.query],
+                                                      kRangeRadius))
+                    .size();
         break;
       case Request::kActive:
-        sink += db.FindActive("lab1", 0, 1 << 20).size();
+        sink += db.Query(api::QuerySpec::Active("lab1", 0, 1 << 20)).size();
         break;
       case Request::kIngest:
         db.AddObjectGraph(0, "lab1", w.stream[r.query],
@@ -186,14 +189,16 @@ PhaseResult RunServerPhase(const std::string& name, const Workload& w,
         server::QueryResult qr;
         switch (r.kind) {
           case Request::kKnn:
-            qr = engine.FindSimilar(w.queries[r.query], kKnnK, qo);
+            qr = engine.Query(
+                api::QuerySpec::Similar(w.queries[r.query], kKnnK), qo);
             break;
           case Request::kRange:
-            qr = engine.FindWithinRadius(w.queries[r.query], kRangeRadius,
-                                         qo);
+            qr = engine.Query(
+                api::QuerySpec::WithinRadius(w.queries[r.query], kRangeRadius),
+                qo);
             break;
           case Request::kActive:
-            qr = engine.FindActive("lab1", 0, 1 << 20, qo);
+            qr = engine.Query(api::QuerySpec::Active("lab1", 0, 1 << 20), qo);
             break;
           case Request::kIngest:
             engine.AddObjectGraph(segment_id, "lab1", w.stream[r.query],

@@ -22,9 +22,10 @@
 //       a sample query, and print recovery stats + server metrics. Run it
 //       twice with the same <wal-dir> to watch state survive a restart.
 //       --paged routes bulk records through the out-of-core page store with
-//       a --cache-mb buffer-cache budget (default 8 MiB). --shards=N also
-//       serves the recovered catalog through an N-way scatter-gather
-//       ShardedQueryEngine and prints its per-shard metrics.
+//       a --cache-mb buffer-cache budget (default 8 MiB). --shards=N
+//       serves the durable engine over N hash partitions (scatter-gather
+//       kNN); the metrics' "shards" array shows the per-shard legs. The
+//       shard count is not persisted: any N reopens any directory.
 //   strgtool save <wal-dir> <catalog-out>
 //       Recover the durable state in <wal-dir> and export it as a plain
 //       catalog file usable by info/stats/query.
@@ -56,7 +57,6 @@
 #include "distance/simd/dispatch.h"
 #include "server/durable_engine.h"
 #include "server/serve_options.h"
-#include "server/sharded_engine.h"
 #include "storage/catalog.h"
 #include "storage/pager/paged_record_store.h"
 #include "util/random.h"
@@ -212,7 +212,8 @@ int Query(const std::string& path, const std::string& video, size_t og_index,
   dist::FeatureScaling scaling;
   scaling.frame_width = segment->frame_width;
   scaling.frame_height = segment->frame_height;
-  auto hits = db.FindSimilar(segment->ogs[og_index], k, scaling);
+  auto hits = db.Query(api::QuerySpec::Similar(
+      dist::OgToSequence(segment->ogs[og_index], scaling), k));
 
   std::cout << "query: OG " << og_index << " of '" << video << "' (starts at"
             << " frame " << segment->ogs[og_index].start_frame << ")\n";
@@ -373,39 +374,6 @@ server::DurableQueryEngine* MustOpenDurable(
   return holder->get();
 }
 
-/// Mirrors the recovered catalog into an N-shard scatter-gather engine,
-/// runs the sample probe through it, and prints its per-shard metrics —
-/// the CLI face of ShardedQueryEngine.
-void ServeSharded(const storage::Catalog& catalog,
-                  const server::ServeOptions& serve) {
-  server::ShardedQueryEngine sharded(index::StrgIndexParams{},
-                                     serve.ToShardedOptions());
-  for (const storage::CatalogSegment& s : catalog.segments()) {
-    api::SegmentResult segment;
-    segment.num_frames = s.num_frames;
-    segment.frame_width = s.frame_width;
-    segment.frame_height = s.frame_height;
-    segment.decomposition.background = s.background;
-    segment.decomposition.object_graphs = s.ogs;
-    size_t shard = 0;
-    sharded.AddVideo(s.video_name, segment, nullptr, &shard);
-    std::cout << "  shard " << shard << " <- '" << s.video_name << "' ("
-              << s.ogs.size() << " OGs)\n";
-  }
-  if (catalog.NumSegments() > 0 && !catalog.segments()[0].ogs.empty()) {
-    const storage::CatalogSegment& s = catalog.segments()[0];
-    dist::FeatureScaling scaling;
-    scaling.frame_width = s.frame_width;
-    scaling.frame_height = s.frame_height;
-    server::QueryResult qr = sharded.Query(api::QuerySpec::Similar(
-        dist::OgToSequence(s.ogs[0], scaling), 3));
-    std::cout << "sample scatter-gather 3-NN ("
-              << StatusCodeName(qr.status) << "): " << qr.hits.size()
-              << " hit(s) across " << sharded.NumShards() << " shard(s)\n";
-  }
-  std::cout << sharded.MetricsJson() << "\n";
-}
-
 int Serve(const std::string& wal_dir, const std::string& kind,
           const std::string& name, int num_objects, uint64_t seed,
           const server::ServeOptions& serve) {
@@ -420,7 +388,8 @@ int Serve(const std::string& wal_dir, const std::string& kind,
             << rec.replayed_records << " WAL record(s) replayed"
             << (rec.tail_truncated ? " (torn tail truncated)" : "") << " in "
             << FormatDouble(rec.replay_seconds * 1e3, 1)
-            << " ms; generation " << engine->Generation() << "\n";
+            << " ms; generation " << engine->Generation() << ", "
+            << engine->engine().NumShards() << " shard(s)\n";
   if (engine->paged_store() != nullptr) {
     std::cout << "paged mode: cache budget "
               << FormatBytes(engine->paged_store()->cache()->resident_bytes())
@@ -464,11 +433,6 @@ int Serve(const std::string& wal_dir, const std::string& kind,
               << qr.generation << "\n";
   }
   std::cout << engine->MetricsJson() << "\n";
-
-  if (serve.shards > 1) {
-    std::cout << "sharded serving (" << serve.shards << " shards):\n";
-    ServeSharded(engine->catalog(), serve);
-  }
 
   // Commit pending state (WAL fsync + paged-store header) so `strgtool
   // stat` on the page file sees this run's occupancy.

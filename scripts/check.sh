@@ -153,7 +153,7 @@ if [[ "${STRG_CHECK_TSAN:-0}" == "1" ]]; then
   # Server stage under TSan: scatter-gather legs racing cancellation,
   # deadlines, and a live writer — the exactly-once finalize CAS and the
   # tau-bound publication are the contested atomics. The deep-chain stress
-  # adds paged per-shard stores so the full ingest -> writer -> record
+  # adds one shared paged store so the full writer -> record
   # store -> buffer cache lock chain runs under the race checker.
   ./build-tsan/tests/sharded_engine_test \
     --gtest_filter='ShardedEngine.CancellationAndDeadlineRaceIsClean:ShardedEngine.TauPruningFiresAndStaysExact:ShardedEngine.DeepLockChainStressWithLiveWriter'

@@ -11,9 +11,9 @@
 namespace strg::api {
 
 /// Per-request options of the submit/complete query surface. One options
-/// vocabulary across the stack: the bare VideoDatabase, the single
-/// QueryEngine, and the ShardedQueryEngine all take this struct, so a
-/// request keeps its deadline and routing hints as it crosses layers.
+/// vocabulary across the stack: the bare VideoDatabase and the serving
+/// QueryEngine both take this struct, so a request keeps its deadline and
+/// routing hints as it crosses layers.
 /// (server::QueryOptions is an alias of this type — the historical spelling
 /// kept for source compatibility.)
 struct SubmitOptions {
@@ -28,12 +28,11 @@ struct SubmitOptions {
   int shard_hint = -1;
 };
 
-/// One value describing any retrieval request the system answers. The three
-/// historical entry points (FindSimilar / FindWithinRadius / FindActive)
-/// collapse into a tagged kind plus the union of their parameters, so every
-/// layer — database dispatch, result-cache keying, metrics attribution —
-/// consumes the same object instead of re-encoding the request per call
-/// site.
+/// One value describing any retrieval request the system answers: k-NN,
+/// range and temporal-window queries are a tagged kind plus the union of
+/// their parameters, so every layer — database dispatch, result-cache
+/// keying, metrics attribution — consumes the same object instead of
+/// re-encoding the request per call site.
 struct QuerySpec {
   enum class Kind {
     kSimilar = 0,  ///< k-NN over stored OGs (Algorithm 3)

@@ -87,12 +87,6 @@ std::vector<VideoDatabase::QueryHit> VideoDatabase::Submit(
   return hits;
 }
 
-std::vector<VideoDatabase::QueryHit> VideoDatabase::FindSimilar(
-    const core::Og& query, size_t k,
-    const dist::FeatureScaling& scaling) const {
-  return Query(QuerySpec::Similar(dist::OgToSequence(query, scaling), k));
-}
-
 std::vector<VideoDatabase::QueryHit> VideoDatabase::Resolve(
     const index::KnnResult& knn) const {
   std::vector<QueryHit> hits;

@@ -65,9 +65,10 @@ class VideoDatabase {
 
   /// The one retrieval entry point: dispatches on spec.kind (k-NN /
   /// range / temporal window). Every layer above — the serving engine, the
-  /// cache digest, the tools — speaks QuerySpec; the Find* methods below
-  /// are legacy spellings of the same calls. When `stats` is non-null the
-  /// query's cost counters are written there.
+  /// cache digest, the tools — speaks QuerySpec. An OG probe is spelled
+  /// QuerySpec::Similar(dist::OgToSequence(og, scaling), k) with the
+  /// producing segment's Scaling(). When `stats` is non-null the query's
+  /// cost counters are written there.
   ///
   /// `initial_tau` (kSimilar only; default +inf = unbounded) seeds the kNN
   /// worst-of-heap pruning radius — the scatter-gather hook a sharded
@@ -79,11 +80,11 @@ class VideoDatabase {
       double initial_tau = std::numeric_limits<double>::infinity()) const;
 
   /// The submit/complete surface at the database layer — the degenerate
-  /// synchronous implementation of the API the serving engines
-  /// (server::QueryEngine / ShardedQueryEngine) expose. There is no queue
-  /// and no worker pool here, so the request executes inline on the
-  /// calling thread and `on_complete` (when given) fires with the answer
-  /// before Submit returns; the answer is also returned directly.
+  /// synchronous implementation of the API the serving engine
+  /// (server::QueryEngine) exposes. There is no queue and no worker pool
+  /// here, so the request executes inline on the calling thread and
+  /// `on_complete` (when given) fires with the answer before Submit
+  /// returns; the answer is also returned directly.
   /// opts.timeout / use_cache / shard_hint are accepted for vocabulary
   /// uniformity and ignored — a bare database has no admission control, no
   /// cache, and no shards.
@@ -92,26 +93,6 @@ class VideoDatabase {
       const std::function<void(const std::vector<QueryHit>&)>& on_complete =
           nullptr,
       QueryStats* stats = nullptr) const;
-
-  // ---- Legacy entry points: one-line wrappers over Query(QuerySpec),
-  // ---- kept for source compatibility and slated for eventual removal.
-
-  /// k-NN with the query given as an OG, converted with `scaling` (use the
-  /// producing segment's Scaling()).
-  std::vector<QueryHit> FindSimilar(const core::Og& query, size_t k,
-                                    const dist::FeatureScaling& scaling) const;
-  std::vector<QueryHit> FindSimilar(const dist::Sequence& query,
-                                    size_t k) const {
-    return Query(QuerySpec::Similar(query, k));
-  }
-  std::vector<QueryHit> FindWithinRadius(const dist::Sequence& query,
-                                         double radius) const {
-    return Query(QuerySpec::WithinRadius(query, radius));
-  }
-  std::vector<QueryHit> FindActive(const std::string& video, int first_frame,
-                                   int last_frame) const {
-    return Query(QuerySpec::Active(video, first_frame, last_frame));
-  }
 
   size_t NumVideos() const { return num_videos_; }
   size_t NumObjectGraphs() const { return records_.size(); }

@@ -12,19 +12,15 @@
 namespace strg::server {
 
 /// Event-loop request runtime: a bounded submission queue drained by a
-/// fixed worker pool. This replaces the serving layer's old
-/// thread-per-request std::future plumbing — requests are plain posted
-/// tasks that signal their own completion state (see RequestState in
-/// query_engine.h), so one runtime can be shared by every engine in the
-/// process and a sharded engine can fan one request out into per-shard
-/// tasks on the same workers.
+/// fixed worker pool. Requests are plain posted tasks that signal their own
+/// completion state (see RequestState in query_engine.h), so the engine
+/// fans one request out into per-shard leg tasks on the same workers.
 ///
 /// The queue bound is the load-shedding backstop: Post never blocks and
 /// never queues unboundedly — when the queue is full it refuses, and the
 /// caller converts that refusal into a typed kOverloaded completion.
-/// Engine-level admission (max_pending) normally rejects first; the
-/// runtime bound matters when several engines (shards) share one runtime
-/// and their combined admitted load exceeds what the workers can drain.
+/// Engine-level admission (max_pending) normally rejects first: the engine
+/// sizes this queue to max_pending legs per shard.
 class AsyncRuntime {
  public:
   struct Options {

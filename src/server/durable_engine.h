@@ -24,7 +24,9 @@ struct DurableEngineOptions {
   /// is snapshotted and the log reset so replay cost stays bounded.
   /// 0 disables automatic compaction (Compact() stays available).
   size_t compact_every = 1024;
-  /// Serving-layer options forwarded to the wrapped QueryEngine.
+  /// Serving-layer options forwarded to the wrapped QueryEngine, shard
+  /// count included. The shard count is never persisted: a directory
+  /// written at one count reopens at any other with identical answers.
   EngineOptions engine;
   /// Out-of-core storage engine (A/B knob, default off = all in RAM).
   /// With `storage.paged` set the engine keeps two page files under the
@@ -65,7 +67,7 @@ struct RecoveryStats {
   double replay_seconds = 0.0;   ///< snapshot load + log replay wall time
 };
 
-/// Crash-durable front over QueryEngine.
+/// Crash-durable front over an N-shard QueryEngine.
 ///
 /// Write path — log, sync, then publish:
 ///   AddVideo / AddObjectGraph first frame the operation into the WAL
@@ -95,6 +97,11 @@ struct RecoveryStats {
 ///   them with the segment's geometry-derived FeatureScaling — the
 ///   documented contract of AddObjectGraph (use the producing segment's
 ///   Scaling()).
+///
+/// Shards: WAL records and snapshots carry the engine-wide segment and og
+/// ids, which do not depend on the shard count, so the on-disk formats are
+/// the same at every N. In paged mode all shards share the one leaf store
+/// (it serializes Append and allows concurrent Read).
 ///
 /// Concurrency: reads go straight to the wrapped QueryEngine (snapshot
 /// isolation, admission control, caching — unchanged). Ingest serializes

@@ -139,8 +139,8 @@ class ServerMetrics {
   double CacheHitRate() const;
 
   /// One shard's point-in-time scrape for the "shards" array below. The
-  /// sharded engine reads its per-shard relaxed counters into these plain
-  /// values right before the dump, so ToJson itself stays lock-free.
+  /// engine reads its per-shard relaxed counters into these plain values
+  /// right before the dump, so ToJson itself stays lock-free.
   struct ShardScrape {
     uint64_t queries = 0;         ///< scatter-gather legs executed
     uint64_t tau_prune_hits = 0;  ///< legs that started with a finite tau
@@ -148,9 +148,9 @@ class ServerMetrics {
   };
 
   /// Whole registry as one JSON object; `generation` is the currently
-  /// published snapshot generation (the engine supplies it) and `shards`
-  /// the per-shard breakdown (empty on an unsharded engine — the "shards"
-  /// key is always present so the JSON schema is stable).
+  /// published generation (the engine supplies it) and `shards` the
+  /// per-shard breakdown (the "shards" key is always present, [] when no
+  /// breakdown is given, so the JSON schema is stable).
   ///
   /// STRG_LOCK_FREE: deliberately holds no mutex. Every field it reads is a
   /// relaxed atomic, so the dump is a per-counter-consistent (not

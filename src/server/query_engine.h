@@ -8,6 +8,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "api/query_spec.h"
@@ -30,34 +31,33 @@ using StatusCode = api::StatusCode;
 using api::StatusCodeName;
 
 struct EngineOptions {
-  /// Worker threads executing queries (0 = hardware concurrency). Ignored
-  /// when `runtime` is set (the shared runtime sizes its own pool).
+  /// Catalog partitions: videos hash by name onto shards (ShardFor). 1 =
+  /// one index over the whole catalog.
+  size_t num_shards = 1;
+  /// Worker threads of the engine's runtime (0 = hardware concurrency).
   size_t num_threads = 2;
-  /// Max requests admitted but not yet finished (queued + running). The
-  /// bound is what turns overload into fast typed rejections instead of an
-  /// unbounded queue whose latency grows without limit.
+  /// Max *requests* (not shard legs) admitted but not yet finished (queued
+  /// + running). The bound is what turns overload into fast typed
+  /// rejections instead of an unbounded queue whose latency grows without
+  /// limit. The runtime's leg queue is sized max_pending * num_shards, so
+  /// it never sheds a leg that admission let through.
   size_t max_pending = 256;
   /// Total cached query results across all cache shards.
   size_t cache_capacity = 4096;
   size_t cache_shards = 8;
-  /// External request runtime to execute on (not owned; must outlive the
-  /// engine). nullptr = the engine owns a private runtime sized by
-  /// num_threads. A ShardedQueryEngine injects one shared runtime into all
-  /// of its shard engines so per-shard fan-out tasks share one worker pool
-  /// and one bounded submission queue.
-  AsyncRuntime* runtime = nullptr;
 };
 
 /// Per-request options. The historical server-local spelling is now an
-/// alias of the api-wide submit vocabulary so QueryEngine,
-/// ShardedQueryEngine, and api::VideoDatabase all take the same struct.
+/// alias of the api-wide submit vocabulary so QueryEngine and
+/// api::VideoDatabase take the same struct.
 using QueryOptions = api::SubmitOptions;
 
 struct QueryResult {
   StatusCode status = StatusCode::kOk;
   std::vector<api::VideoDatabase::QueryHit> hits;
-  /// Index generation the answer was computed against (0 when the request
-  /// never reached a snapshot: overload / expiry / cancellation).
+  /// Largest generation stamp among the shard snapshots the answer was
+  /// computed from: the answer holds no OG published after it (0 when the
+  /// request never reached a snapshot: overload / expiry / cancellation).
   uint64_t generation = 0;
   bool from_cache = false;
   double latency_micros = 0.0;
@@ -139,19 +139,23 @@ class QueryHandle {
 
  private:
   friend class QueryEngine;
-  friend class ShardedQueryEngine;
   explicit QueryHandle(std::shared_ptr<RequestState> state)
       : state_(std::move(state)) {}
 
   std::shared_ptr<RequestState> state_;
 };
 
-/// One immutable published index generation. Readers hold it via
+/// One immutable published generation of one shard. Readers hold it via
 /// shared_ptr, so a generation stays alive until the last in-flight query
 /// over it finishes, no matter how many newer generations exist.
 struct Snapshot {
+  /// The engine-wide generation this shard was published at.
   uint64_t generation = 0;
   api::VideoDatabase db;
+  /// global_ids[local og id] == the og id an unsharded engine fed the same
+  /// writes would have assigned. Carried in the snapshot so a query leg
+  /// remaps ids without a lock: the table always matches `db`.
+  std::vector<size_t> global_ids;
 };
 
 /// Epoch pointer to the published Snapshot. store/load are a constant-time
@@ -186,40 +190,77 @@ class SnapshotHolder {
   std::shared_ptr<const Snapshot> ptr_ STRG_GUARDED_BY(mu_);
 };
 
-/// Concurrent query-serving front-end over api::VideoDatabase.
+/// Concurrent query-serving engine over a hash-partitioned catalog of
+/// N >= 1 shards. One Submit, one admission bound, one result cache, one
+/// metrics registry and one runtime serve every shard count; N = 1 is a
+/// single index over the whole catalog.
+///
+/// Partitioning: videos hash by name onto shards (ShardFor). A shard is an
+/// epoch pointer to its published Snapshot. Ingest routes each write to its
+/// video's shard, so a publish clones 1/N of the catalog, and a temporal
+/// (kActive) query scans 1/N of the records.
 ///
 /// Concurrency model — snapshot isolation via copy-on-write epochs:
-///  - Writers (AddVideo / AddObjectGraph) serialize on a mutex, clone the
-///    current generation, mutate the clone, and atomically publish it.
-///    A writer never touches a published Snapshot.
-///  - Readers grab the current Snapshot (a constant-time epoch-pointer
-///    copy) and run the whole query against that immutable generation: no
-///    lock is held during query execution, so there are no torn reads and
-///    no half-inserted trees — at the cost of ingest copying the database
-///    (fine for this workload; the sharded engine bounds the copy to 1/N).
+///  - Writers (AddVideo / AddObjectGraph) serialize on one mutex, clone the
+///    target shard's snapshot, mutate the clone, stamp it with the next
+///    engine-wide generation, and publish it. A writer never touches a
+///    published Snapshot.
+///  - Readers grab a shard's Snapshot (a constant-time epoch-pointer copy)
+///    and run the whole leg against that immutable generation: no lock is
+///    held during query execution, so there are no torn reads.
 ///
 /// Request path — submit/complete over the async runtime:
-///   Submit runs the result-cache fast path on the calling thread (a cache
-///   hit costs one shard mutex, no admission), then bounded admission, then
-///   posts the execution task to the runtime and returns a QueryHandle.
-///   Completion flows through RequestState: the worker finalizes the
-///   result, waiters are notified, and the completion callback fires
-///   exactly once. The blocking Query(spec) is Submit(...).Wait() — the
-///   old thread-per-request future plumbing is gone, and all pre-redesign
-///   call sites behave bit-identically.
+///   Submit runs the result-cache fast path on the calling thread, takes
+///   one admission token, then posts one leg task per target shard (all
+///   shards for kSimilar/kRange, the owning shard for kActive, exactly
+///   opts.shard_hint when set) and returns a QueryHandle. kNN legs read the
+///   gather's running worst-of-k distance (tau) before executing and seed
+///   the shard search with it, so later legs prune against the best global
+///   answer so far. The last leg to finish merges by (distance, global og
+///   id), fills the cache, and finalizes the request exactly once through
+///   RequestState. The blocking Query(spec) is Submit(...).Wait().
+///
+/// Generations: a result reports the largest stamp among the snapshots its
+/// legs read, so no answer ever holds an OG published after its reported
+/// generation. It is cached only when that stamp equals the Submit-time
+/// key (the largest head stamp among the target shards), i.e. when every
+/// leg read exactly the state the key names, so a cache hit is exact.
+///
+/// Answers are bit-identical at every shard count (assuming distinct
+/// distances; exact ties order by global og id on both sides): tau only
+/// ever tightens below the true k-th distance, so no global top-k member
+/// is pruned, and each snapshot's global_ids table restores the N = 1 id
+/// space.
 class QueryEngine {
  public:
+  /// One partition: the epoch pointer to its published snapshot plus its
+  /// leg counters (scraped into the "shards" array of MetricsJson).
+  struct Shard {
+    explicit Shard(std::shared_ptr<const Snapshot> genesis)
+        : head(std::move(genesis)) {}
+    std::shared_ptr<const Snapshot> snapshot() const { return head.load(); }
+
+    SnapshotHolder head;
+    std::atomic<uint64_t> queries{0};         ///< legs executed
+    std::atomic<uint64_t> tau_prune_hits{0};  ///< legs seeded with finite tau
+    std::atomic<int64_t> queue_depth{0};      ///< legs posted, not finished
+  };
+
   explicit QueryEngine(index::StrgIndexParams params = {},
                        EngineOptions opts = {});
 
   QueryEngine(const QueryEngine&) = delete;
   QueryEngine& operator=(const QueryEngine&) = delete;
 
+  /// Stable video -> shard routing (seeded FNV over the name). Exposed so
+  /// tools and tests can predict placement.
+  static size_t ShardFor(std::string_view video, size_t num_shards);
+
   // ---- Writers (copy-on-write publish; serialized among themselves). ----
 
-  /// Indexes a processed segment under `name`. Returns the new generation;
-  /// `*segment_id` (optional) receives the root/segment id for later
-  /// AddObjectGraph calls.
+  /// Indexes a processed segment under `name` on the video's shard. Returns
+  /// the new generation; `*segment_id` (optional) receives the engine-wide
+  /// segment id (0, 1, 2, ... in AddVideo order) for AddObjectGraph.
   uint64_t AddVideo(const std::string& name,
                     const api::SegmentResult& segment,
                     int* segment_id = nullptr) STRG_EXCLUDES(writer_mu_);
@@ -232,8 +273,9 @@ class QueryEngine {
                           const dist::FeatureScaling& scaling)
       STRG_EXCLUDES(writer_mu_);
 
-  /// Fast-forwards the published generation number without changing data
-  /// (only forward; lower targets are ignored). Recovery uses this to keep
+  /// Fast-forwards the generation number without changing data (only
+  /// forward; lower targets are ignored), restamping every shard so
+  /// answers report at least `generation`. Recovery uses this to keep
   /// generation tokens continuous across restarts: a snapshot rebuild
   /// collapses many original publishes into a few, but clients holding
   /// pre-crash generation numbers must still see Generation() >= theirs.
@@ -241,95 +283,75 @@ class QueryEngine {
 
   // ---- Readers (admission-controlled, snapshot-isolated). ----
 
-  /// The headline entry point: submits the request into the async runtime
-  /// and returns a handle. `on_complete` (optional) fires exactly once
-  /// with the final result. Overload and cache fast-path outcomes finalize
-  /// before Submit returns (the callback then runs on the calling thread).
-  /// opts.shard_hint is accepted for vocabulary uniformity and ignored —
-  /// one engine is one shard.
+  /// Submits the request into the runtime and returns a handle.
+  /// `on_complete` (optional) fires exactly once with the final result.
+  /// Overload and cache fast-path outcomes finalize before Submit returns
+  /// (the callback then runs on the calling thread).
   QueryHandle Submit(const api::QuerySpec& spec, const QueryOptions& opts = {},
                      CompletionFn on_complete = nullptr);
 
-  /// Blocking spelling: Submit + Wait. Kept as the convenient synchronous
-  /// API; every pre-redesign caller goes through here unchanged.
+  /// Blocking spelling: Submit + Wait.
   QueryResult Query(const api::QuerySpec& spec, const QueryOptions& opts = {}) {
     return Submit(spec, opts).Wait();
   }
 
-  // Legacy spellings — one-line wrappers over Query(QuerySpec), kept for
-  // source compatibility and slated for eventual removal.
-  QueryResult FindSimilar(const dist::Sequence& query, size_t k,
-                          const QueryOptions& opts = {}) {
-    return Query(api::QuerySpec::Similar(query, k), opts);
-  }
-  QueryResult FindWithinRadius(const dist::Sequence& query, double radius,
-                               const QueryOptions& opts = {}) {
-    return Query(api::QuerySpec::WithinRadius(query, radius), opts);
-  }
-  QueryResult FindActive(const std::string& video, int first_frame,
-                         int last_frame, const QueryOptions& opts = {}) {
-    return Query(api::QuerySpec::Active(video, first_frame, last_frame),
-                 opts);
-  }
-
   // ---- Introspection. ----
 
-  /// Currently published generation (constant-time epoch read). Tests query
-  /// the returned snapshot's db directly to validate immutability.
-  std::shared_ptr<const Snapshot> snapshot() const { return head_.load(); }
-  uint64_t Generation() const { return snapshot()->generation; }
+  /// Shard 0's published snapshot — the whole catalog when N = 1. Tests
+  /// query the returned snapshot's db directly to validate immutability.
+  std::shared_ptr<const Snapshot> snapshot() const {
+    return shards_[0]->snapshot();
+  }
+  /// Engine-wide generation: the number of publishes so far (or the
+  /// restored value, whichever is larger).
+  uint64_t Generation() const {
+    return generation_.load(std::memory_order_acquire);
+  }
+  size_t NumShards() const { return shards_.size(); }
+  const Shard& shard(size_t s) const { return *shards_[s]; }
 
   const ServerMetrics& metrics() const { return metrics_; }
   /// Mutable registry access for layers that wrap the engine and account
   /// their own work here (the durable engine's WAL counters).
   ServerMetrics& mutable_metrics() { return metrics_; }
-  std::string MetricsJson() const {
-    return metrics_.ToJson(Generation());
-  }
-
-  AsyncRuntime& runtime() { return *runtime_; }
+  /// Registry scrape plus the per-shard breakdown ("shards" array).
+  std::string MetricsJson() const;
 
  private:
-  friend class ShardedQueryEngine;
+  /// Scatter-gather rendezvous of one request (defined in the .cc).
+  struct Gather;
 
-  /// Picks the per-kind latency histogram (attribution parity with the old
-  /// dedicated entry points).
-  LatencyHistogram* HistogramFor(api::QuerySpec::Kind kind);
+  /// One shard leg, on a runtime worker: skip checks, tau read, shard
+  /// search, id remap, merge; the last leg finalizes the request.
+  void RunLeg(const std::shared_ptr<Gather>& g, size_t shard);
+  /// Completion by the last leg: sort, cache fill, finalize.
+  void FinishGather(const std::shared_ptr<Gather>& g);
 
-  /// The worker-side execution: deadline/cancel checks, snapshot query,
-  /// cache fill, metrics, finalization. Runs on a runtime worker.
-  void RunTask(const std::shared_ptr<RequestState>& state,
-               const api::QuerySpec& spec, uint64_t digest,
-               LatencyHistogram* histogram, bool use_cache);
-
-  /// Scatter-gather hook for ShardedQueryEngine: one shard leg executed
-  /// synchronously on the caller's (worker) thread against the current
-  /// snapshot. `initial_tau` seeds kNN pruning with the gatherer's running
-  /// global worst-of-k; tau-bounded answers are intentionally NOT entered
-  /// into the result cache (they are truncated views keyed by the same
-  /// digest, so caching them would poison exact lookups).
-  std::vector<api::VideoDatabase::QueryHit> ExecuteShardLeg(
-      const api::QuerySpec& spec, double initial_tau,
-      api::VideoDatabase::QueryStats* stats, uint64_t* generation) const;
-
-  /// Clone-mutate-publish under writer_mu_; the published Snapshot itself
-  /// is immutable, so readers never take this lock.
+  /// Clone-mutate-publish of shard `s` under writer_mu_; `new_ogs` is the
+  /// number of OGs the mutation appends (they receive the next global ids)
+  /// and `start` is when the write call began (ingest latency). The
+  /// published Snapshot itself is immutable, so readers never take this
+  /// lock.
   template <typename MutateFn>
-  uint64_t Publish(MutateFn&& mutate) STRG_EXCLUDES(writer_mu_);
+  uint64_t Publish(std::chrono::steady_clock::time_point start, size_t s,
+                   size_t new_ogs, MutateFn&& mutate) STRG_REQUIRES(writer_mu_);
 
-  EngineOptions opts_;
+  const EngineOptions opts_;
   ServerMetrics metrics_;
   ShardedResultCache cache_;
-  /// Serializes writers (the clone-mutate-publish window). It guards the
-  /// *protocol*, not a field: the data being built is the local `next`
-  /// snapshot, and publication goes through head_'s own mutex.
+  /// Serializes writers: global og and segment ids are assigned in call
+  /// order, which requires the id-assign + shard-publish window to be
+  /// atomic. Queries never take this.
   Mutex writer_mu_{LockRank::kEngineWriter};
-  SnapshotHolder head_;
-  /// Declared last: destroyed first, so accepted tasks drain while the
-  /// members they reference are still alive. Null when an external runtime
-  /// was injected (runtime_ then points at it and outlives us by contract).
-  std::unique_ptr<AsyncRuntime> owned_runtime_;
-  AsyncRuntime* runtime_ = nullptr;
+  /// Engine-wide publish counter; written only under writer_mu_.
+  std::atomic<uint64_t> generation_{0};
+  size_t next_og_id_ STRG_GUARDED_BY(writer_mu_) = 0;
+  /// segments_[global segment id] == {shard, shard-local segment id}.
+  std::vector<std::pair<size_t, int>> segments_ STRG_GUARDED_BY(writer_mu_);
+  std::vector<std::unique_ptr<Shard>> shards_;
+  /// Declared last: destroyed first, draining posted legs while the shards,
+  /// cache and metrics they touch are all still alive.
+  AsyncRuntime runtime_;
 };
 
 }  // namespace strg::server

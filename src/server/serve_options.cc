@@ -37,14 +37,9 @@ bool ServeOptions::ParseFlag(std::string_view arg) {
 
 DurableEngineOptions ServeOptions::ToDurableOptions() const {
   DurableEngineOptions opts;
+  opts.engine.num_shards = shards == 0 ? 1 : shards;
   opts.storage.paged = paged;
   if (paged) opts.storage.cache_bytes = static_cast<uint64_t>(cache_mb) << 20;
-  return opts;
-}
-
-ShardedEngineOptions ServeOptions::ToShardedOptions() const {
-  ShardedEngineOptions opts;
-  opts.num_shards = shards == 0 ? 1 : shards;
   return opts;
 }
 

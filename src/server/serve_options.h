@@ -5,7 +5,6 @@
 #include <string_view>
 
 #include "server/durable_engine.h"
-#include "server/sharded_engine.h"
 
 namespace strg::server {
 
@@ -14,8 +13,8 @@ namespace strg::server {
 /// and its mapping onto the engine option structs, so the CLI and library
 /// callers cannot drift apart on defaults or spelling.
 struct ServeOptions {
-  /// Catalog partitions. 1 = a single durable engine; >1 additionally
-  /// serves reads through a ShardedQueryEngine (scatter-gather kNN).
+  /// Catalog partitions of the durable engine (scatter-gather kNN when
+  /// > 1).
   size_t shards = 1;
   /// Route bulk records through the out-of-core page store.
   bool paged = false;
@@ -27,10 +26,8 @@ struct ServeOptions {
   /// not a serve flag (the caller treats it as positional).
   bool ParseFlag(std::string_view arg);
 
-  /// The durability layer's view of these options.
+  /// The durable engine's view of these options.
   DurableEngineOptions ToDurableOptions() const;
-  /// The scatter-gather layer's view (meaningful when shards > 1).
-  ShardedEngineOptions ToShardedOptions() const;
 };
 
 }  // namespace strg::server

@@ -107,19 +107,16 @@ namespace strg {
 /// checking: it neither pushes a rank nor constrains later acquisitions.
 ///
 /// The deepest legal chains today (see DESIGN.md §15 for the full graph):
-///   write:  kIngestSharded -> kShardMap
-///           kIngestSharded/kIngestDurable -> kEngineWriter
+///   write:  kIngestDurable -> kEngineWriter
 ///             -> kRecordStore -> kBufferCache, -> kSnapshot, -> kThreadPool
 ///   query:  kGatherMerge / kResultCache / kRequestState / kSnapshot
 ///           (taken one at a time along a leg; kRecordStore -> kBufferCache
 ///           under a paged read)
 enum class LockRank : int {
   kUnranked = 0,        ///< exempt: test/example/scratch locks
-  kIngestSharded = 100, ///< ShardedQueryEngine::ingest_mu_ (global write order)
   kIngestDurable = 200, ///< DurableQueryEngine::ingest_mu_ (WAL+publish window)
-  kShardMap = 300,      ///< ShardedQueryEngine::map_mu_ (local->global ids)
   kEngineWriter = 400,  ///< QueryEngine::writer_mu_ (clone-mutate-publish)
-  kGatherMerge = 500,   ///< ShardedQueryEngine::Gather::merge_mu
+  kGatherMerge = 500,   ///< QueryEngine::Gather::merge_mu
   kResultCache = 600,   ///< ShardedResultCache::Shard::mu
   kRequestState = 700,  ///< RequestState::mu (completion rendezvous)
   kRecordStore = 800,   ///< PagedRecordStore::mu_ (append/commit tail)
@@ -135,9 +132,7 @@ enum class LockRank : int {
 constexpr const char* LockRankName(LockRank rank) {
   switch (rank) {
     case LockRank::kUnranked: return "kUnranked";
-    case LockRank::kIngestSharded: return "kIngestSharded";
     case LockRank::kIngestDurable: return "kIngestDurable";
-    case LockRank::kShardMap: return "kShardMap";
     case LockRank::kEngineWriter: return "kEngineWriter";
     case LockRank::kGatherMerge: return "kGatherMerge";
     case LockRank::kResultCache: return "kResultCache";

@@ -19,7 +19,7 @@ namespace {
 
 TEST(DeadlockRank, LegalIncreasingChainRunsClean) {
   // The deepest legal write chain from the LockRank table, in order.
-  Mutex ingest{LockRank::kIngestSharded};
+  Mutex ingest{LockRank::kIngestDurable};
   Mutex writer{LockRank::kEngineWriter};
   Mutex store{LockRank::kRecordStore};
   Mutex cache{LockRank::kBufferCache};
@@ -43,10 +43,10 @@ TEST(DeadlockRank, UnrankedLocksAreExemptInAnyOrder) {
 }
 
 TEST(DeadlockRank, SharedAcquisitionJoinsTheHierarchy) {
-  SharedMutex map{LockRank::kShardMap};
+  SharedMutex ingest{LockRank::kIngestDurable};
   Mutex writer{LockRank::kEngineWriter};
-  ReaderLock r(map);
-  MutexLock w(writer);  // kShardMap(300) -> kEngineWriter(400): increasing
+  ReaderLock r(ingest);
+  MutexLock w(writer);  // kIngestDurable(200) -> kEngineWriter(400): increasing
   SUCCEED();
 }
 
@@ -81,14 +81,14 @@ TEST(DeadlockRankDeathTest, SameRankReacquisitionAborts) {
 
 TEST(DeadlockRankDeathTest, SharedThenLowerExclusiveAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  SharedMutex map{LockRank::kShardMap};       // 300
-  Mutex ingest{LockRank::kIngestSharded};     // 100
+  SharedMutex writer{LockRank::kEngineWriter};  // 400
+  Mutex ingest{LockRank::kIngestDurable};       // 200
   EXPECT_DEATH(
       {
-        ReaderLock r(map);
+        ReaderLock r(writer);
         MutexLock w(ingest);
       },
-      "LOCK RANK INVERSION.*kIngestSharded.*kShardMap");
+      "LOCK RANK INVERSION.*kIngestDurable.*kEngineWriter");
 }
 
 TEST(DeadlockRank, FailedTryLockDoesNotLeakARank) {
@@ -116,7 +116,7 @@ TEST(DeadlockRank, FailedTryLockDoesNotLeakARank) {
 
 TEST(DeadlockRank, RanksClearAfterReleaseSoLowerIsLegalAgain) {
   Mutex high{LockRank::kAsyncRuntime};
-  Mutex low{LockRank::kIngestSharded};
+  Mutex low{LockRank::kIngestDurable};
   { MutexLock l(high); }
   MutexLock l2(low);  // high was released: no ordering constraint remains
   SUCCEED();

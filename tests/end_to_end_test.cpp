@@ -63,12 +63,12 @@ TEST(EndToEnd, MultiShotPersistenceAndRetrieval) {
       db.index().Knn(probe_seq, 3, &segments[1].decomposition.background);
   ASSERT_FALSE(routed.hits.empty());
   EXPECT_NEAR(routed.hits[0].distance, 0.0, 1e-9);
-  auto all = db.FindSimilar(probe_seq, 3);
+  auto all = db.Query(QuerySpec::Similar(probe_seq, 3));
   ASSERT_FALSE(all.empty());
   EXPECT_EQ(all[0].video, "shot-1");
 
   // Temporal window query on the reloaded database.
-  auto active = db.FindActive("shot-0", 0, 5);
+  auto active = db.Query(QuerySpec::Active("shot-0", 0, 5));
   EXPECT_FALSE(active.empty());
 }
 

@@ -36,7 +36,7 @@ TEST(VideoDatabaseQueries, FindWithinRadiusReturnsSelfAtZero) {
   db.AddVideo("lab", lab);
   auto seq = dist::OgToSequence(lab.decomposition.object_graphs[1],
                                 lab.Scaling());
-  auto hits = db.FindWithinRadius(seq, 1e-9);
+  auto hits = db.Query(QuerySpec::WithinRadius(seq, 1e-9));
   ASSERT_GE(hits.size(), 1u);
   EXPECT_EQ(hits[0].video, "lab");
   EXPECT_NEAR(hits[0].distance, 0.0, 1e-9);
@@ -48,8 +48,8 @@ TEST(VideoDatabaseQueries, RadiusGrowsResultSet) {
   db.AddVideo("lab", lab);
   auto seq = dist::OgToSequence(lab.decomposition.object_graphs[0],
                                 lab.Scaling());
-  auto small = db.FindWithinRadius(seq, 1.0);
-  auto large = db.FindWithinRadius(seq, 1e9);
+  auto small = db.Query(QuerySpec::WithinRadius(seq, 1.0));
+  auto large = db.Query(QuerySpec::WithinRadius(seq, 1e9));
   EXPECT_LE(small.size(), large.size());
   EXPECT_EQ(large.size(), db.NumObjectGraphs());
 }
@@ -60,7 +60,7 @@ TEST(VideoDatabaseQueries, FindActiveIntersectsLifetimes) {
   db.AddVideo("lab", lab);
 
   // A window covering only the second object's lifetime.
-  auto hits = db.FindActive("lab", 22, 30);
+  auto hits = db.Query(QuerySpec::Active("lab", 22, 30));
   ASSERT_GE(hits.size(), 1u);
   for (const auto& h : hits) {
     int end = h.start_frame + static_cast<int>(h.length) - 1;
@@ -69,9 +69,9 @@ TEST(VideoDatabaseQueries, FindActiveIntersectsLifetimes) {
   }
 
   // A window before anything moves.
-  EXPECT_TRUE(db.FindActive("lab", -10, -1).empty());
+  EXPECT_TRUE(db.Query(QuerySpec::Active("lab", -10, -1)).empty());
   // Unknown video name.
-  EXPECT_TRUE(db.FindActive("nope", 0, 100).empty());
+  EXPECT_TRUE(db.Query(QuerySpec::Active("nope", 0, 100)).empty());
 }
 
 TEST(VideoDatabaseQueries, FindActiveFiltersByVideo) {
@@ -80,7 +80,7 @@ TEST(VideoDatabaseQueries, FindActiveFiltersByVideo) {
   SegmentResult lab2 = ProcessLab(3, 9);
   db.AddVideo("a", lab1);
   db.AddVideo("b", lab2);
-  auto hits = db.FindActive("b", 0, 10000);
+  auto hits = db.Query(QuerySpec::Active("b", 0, 10000));
   EXPECT_EQ(hits.size(), lab2.decomposition.object_graphs.size());
   for (const auto& h : hits) EXPECT_EQ(h.video, "b");
 }

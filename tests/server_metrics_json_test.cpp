@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "server/metrics.h"
-#include "server/sharded_engine.h"
+#include "server/query_engine.h"
 #include "synth/generator.h"
 
 namespace strg::server {
@@ -178,10 +178,10 @@ TEST(ServerMetricsJson, ShardedEngineScrapeIsValidAndCountsLegs) {
   index::StrgIndexParams ip;
   ip.num_clusters = 4;
   ip.cluster_params.max_iterations = 4;
-  ShardedEngineOptions so;
+  EngineOptions so;
   so.num_shards = 2;
   so.num_threads = 2;
-  ShardedQueryEngine engine(ip, so);
+  QueryEngine engine(ip, so);
   engine.AddVideo("clip", segment);
 
   std::vector<dist::Sequence> queries = ds.Sequences(synth::SynthScaling());

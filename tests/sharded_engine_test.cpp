@@ -1,10 +1,10 @@
 // ctest-labels: server
 //
-// ShardedQueryEngine contract tests: answers bit-identical to an unsharded
-// QueryEngine fed the same write sequence (1/2/4/8 shards, in-RAM and
-// paged), tau scatter-pruning stays exact, shard_hint restricts the
-// scatter, overload sheds typed, and the cancel/deadline/writer race is
-// clean under TSan.
+// Multi-shard QueryEngine contract tests: answers bit-identical to a
+// single-shard QueryEngine fed the same write sequence (1/2/4/8 shards,
+// in-RAM and paged), tau scatter-pruning stays exact, shard_hint restricts
+// the scatter, overload sheds typed, and the cancel/deadline/writer race
+// is clean under TSan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "server/query_engine.h"
-#include "server/sharded_engine.h"
 #include "storage/pager/paged_record_store.h"
 #include "storage/pager/storage_params.h"
 #include "synth/generator.h"
@@ -118,9 +117,9 @@ TEST(ShardedEngine, ShardForIsStableAndSpreads) {
     std::vector<bool> used(n, false);
     for (int i = 0; i < 64; ++i) {
       std::string name = "clip_" + std::to_string(i);
-      size_t s = ShardedQueryEngine::ShardFor(name, n);
+      size_t s = QueryEngine::ShardFor(name, n);
       ASSERT_LT(s, n);
-      EXPECT_EQ(s, ShardedQueryEngine::ShardFor(name, n));  // stable
+      EXPECT_EQ(s, QueryEngine::ShardFor(name, n));  // stable
       used[s] = true;
     }
     // 64 names over <= 8 shards: every shard should own something.
@@ -146,10 +145,10 @@ TEST(ShardedEngine, AnswersMatchUnshardedAcrossShardCounts) {
 
   for (size_t n : {1u, 2u, 4u, 8u}) {
     SCOPED_TRACE("shards=" + std::to_string(n));
-    ShardedEngineOptions so;
+    EngineOptions so;
     so.num_shards = n;
     so.num_threads = 4;
-    ShardedQueryEngine sharded(FastIndex(), so);
+    QueryEngine sharded(FastIndex(), so);
     FeedAll(sharded, fx);
     ASSERT_EQ(sharded.Generation(), baseline.Generation());
 
@@ -188,10 +187,10 @@ TEST(ShardedEngine, TauPruningFiresAndStaysExact) {
   QueryEngine baseline(FastIndex(), single_opts);
   FeedAll(baseline, fx);
 
-  ShardedEngineOptions so;
+  EngineOptions so;
   so.num_shards = 4;
   so.num_threads = 1;  // legs serialize: later legs see the running tau
-  ShardedQueryEngine sharded(FastIndex(), so);
+  QueryEngine sharded(FastIndex(), so);
   FeedAll(sharded, fx);
 
   for (size_t q = 0; q < fx.queries.size(); ++q) {
@@ -221,53 +220,45 @@ TEST(ShardedEngine, PagedShardsMatchInRamUnsharded) {
   QueryEngine baseline(FastIndex(), EngineOptions{});
   FeedAll(baseline, fx);
 
-  constexpr size_t kShards = 4;
   storage::StorageParams store_params;
   store_params.paged = true;
   store_params.page_size = 256;
   store_params.cache_bytes = 16 * 256;
   store_params.cache_shards = 2;
 
-  std::vector<std::string> paths;
-  std::vector<std::unique_ptr<storage::PagedRecordStore>> stores;
-  std::vector<index::StrgIndexParams> per_shard;
-  for (size_t s = 0; s < kShards; ++s) {
-    paths.push_back(::testing::TempDir() + "/sharded_leaf_" +
-                    std::to_string(s) + ".pages");
-    std::remove(paths.back().c_str());
-    stores.push_back(
-        storage::PagedRecordStore::Create(paths.back(), store_params)
-            .value());
+  for (size_t n : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE("shards=" + std::to_string(n));
+    // One leaf store shared by every shard (it serializes Append and allows
+    // concurrent Read), exactly as the durable engine's paged mode runs.
+    const std::string path = ::testing::TempDir() + "/sharded_leaf.pages";
+    std::remove(path.c_str());
+    auto store =
+        storage::PagedRecordStore::Create(path, store_params).value();
     index::StrgIndexParams ip = FastIndex();
-    ip.paged_store = stores.back().get();
-    per_shard.push_back(ip);
-  }
-  {
-    ShardedEngineOptions so;
-    so.num_shards = kShards;
-    so.num_threads = 4;
-    ShardedQueryEngine sharded(per_shard, so);
-    FeedAll(sharded, fx);
+    ip.paged_store = store.get();
+    {
+      EngineOptions so;
+      so.num_shards = n;
+      so.num_threads = 4;
+      QueryEngine sharded(ip, so);
+      FeedAll(sharded, fx);
 
-    for (size_t q = 0; q < 8; ++q) {
-      SCOPED_TRACE("query " + std::to_string(q));
-      api::QuerySpec knn = api::QuerySpec::Similar(fx.queries[q], 5);
-      ExpectSameHits(baseline.Query(knn).hits, sharded.Query(knn).hits);
+      for (size_t q = 0; q < 8; ++q) {
+        SCOPED_TRACE("query " + std::to_string(q));
+        api::QuerySpec knn = api::QuerySpec::Similar(fx.queries[q], 5);
+        ExpectSameHits(baseline.Query(knn).hits, sharded.Query(knn).hits);
+      }
+      // The paged path actually ran out-of-core.
+      EXPECT_GT(store->cache_stats().hits + store->cache_stats().misses, 0u);
     }
-    // The paged path actually ran out-of-core somewhere.
-    uint64_t traffic = 0;
-    for (const auto& store : stores) {
-      traffic += store->cache_stats().hits + store->cache_stats().misses;
-    }
-    EXPECT_GT(traffic, 0u);
+    std::remove(path.c_str());
   }
-  for (const std::string& p : paths) std::remove(p.c_str());
 }
 
 // The deadlock-freedom stress target (DESIGN.md §15): drives the DEEPEST
 // legal lock chains concurrently — a live writer walking
-// kIngestSharded -> kShardMap / kEngineWriter -> kRecordStore ->
-// kBufferCache / kSnapshot / kThreadPool against async clients walking
+// kEngineWriter -> kRecordStore -> kBufferCache / kSnapshot / kThreadPool
+// against async clients walking
 // kRequestState / kGatherMerge / kResultCache and paged reads taking
 // kRecordStore -> kBufferCache. Under STRG_SANITIZE=thread this must be
 // race-free; under STRG_DEADLOCK_CHECK=ON every acquisition on every one
@@ -282,26 +273,18 @@ TEST(ShardedEngine, DeepLockChainStressWithLiveWriter) {
   store_params.cache_bytes = 16 * 256;  // tiny: force evictions mid-query
   store_params.cache_shards = 2;
 
-  std::vector<std::string> paths;
-  std::vector<std::unique_ptr<storage::PagedRecordStore>> stores;
-  std::vector<index::StrgIndexParams> per_shard;
-  for (size_t s = 0; s < kShards; ++s) {
-    paths.push_back(::testing::TempDir() + "/deep_chain_" +
-                    std::to_string(s) + ".pages");
-    std::remove(paths.back().c_str());
-    stores.push_back(
-        storage::PagedRecordStore::Create(paths.back(), store_params)
-            .value());
-    index::StrgIndexParams ip = FastIndex();
-    ip.paged_store = stores.back().get();
-    per_shard.push_back(ip);
-  }
+  // One leaf store shared by every shard, as in the durable paged mode.
+  const std::string path = ::testing::TempDir() + "/deep_chain.pages";
+  std::remove(path.c_str());
+  auto store = storage::PagedRecordStore::Create(path, store_params).value();
+  index::StrgIndexParams ip = FastIndex();
+  ip.paged_store = store.get();
   {
-    ShardedEngineOptions so;
+    EngineOptions so;
     so.num_shards = kShards;
     so.num_threads = 4;
     so.max_pending = 64;
-    ShardedQueryEngine sharded(per_shard, so);
+    QueryEngine sharded(ip, so);
     std::vector<int> segment_ids = FeedAll(sharded, fx);
 
     std::atomic<bool> stop{false};
@@ -342,12 +325,8 @@ TEST(ShardedEngine, DeepLockChainStressWithLiveWriter) {
 
     EXPECT_GT(answered.load(), 0u);
     // The paged leg of the chain genuinely ran: pages moved through the
-    // caches while the storm was on.
-    uint64_t traffic = 0;
-    for (const auto& store : stores) {
-      traffic += store->cache_stats().hits + store->cache_stats().misses;
-    }
-    EXPECT_GT(traffic, 0u);
+    // cache while the storm was on.
+    EXPECT_GT(store->cache_stats().hits + store->cache_stats().misses, 0u);
 
     // Still consistent afterwards.
     QueryResult after =
@@ -355,16 +334,16 @@ TEST(ShardedEngine, DeepLockChainStressWithLiveWriter) {
     EXPECT_EQ(after.status, StatusCode::kOk);
     EXPECT_EQ(after.hits.size(), 3u);
   }
-  for (const std::string& p : paths) std::remove(p.c_str());
+  std::remove(path.c_str());
 }
 
 TEST(ShardedEngine, ShardHintRestrictsScatter) {
   MultiFixture fx = MakeMultiFixture(/*num_videos=*/6, /*base_per_video=*/5,
                                      /*seed=*/17);
-  ShardedEngineOptions so;
+  EngineOptions so;
   so.num_shards = 4;
   so.num_threads = 2;
-  ShardedQueryEngine sharded(FastIndex(), so);
+  QueryEngine sharded(FastIndex(), so);
   FeedAll(sharded, fx);
 
   QueryOptions opts;
@@ -387,14 +366,41 @@ TEST(ShardedEngine, ShardHintRestrictsScatter) {
   EXPECT_EQ(total_legs, 1u);
 }
 
+// A hinted answer covers one shard; caching it under the full query's key
+// would serve that partial answer to later unhinted requests.
+TEST(ShardedEngine, HintedAnswerIsCachedApartFromFullAnswer) {
+  MultiFixture fx = MakeMultiFixture(/*num_videos=*/6, /*base_per_video=*/5,
+                                     /*seed=*/19);
+  QueryEngine baseline(FastIndex(), EngineOptions{});
+  FeedAll(baseline, fx);
+  EngineOptions so;
+  so.num_shards = 4;
+  QueryEngine sharded(FastIndex(), so);
+  FeedAll(sharded, fx);
+
+  // Hint the shard of the last write: its snapshot carries the newest
+  // generation, the same one the full answer reports.
+  const api::QuerySpec knn = api::QuerySpec::Similar(fx.queries[0], 8);
+  QueryOptions hinted;
+  hinted.shard_hint = static_cast<int>(
+      QueryEngine::ShardFor(fx.names[fx.stream.back().video], 4));
+  ASSERT_EQ(sharded.Query(knn, hinted).status, StatusCode::kOk);
+  QueryResult hinted_again = sharded.Query(knn, hinted);
+  EXPECT_TRUE(hinted_again.from_cache);
+
+  QueryResult full = sharded.Query(knn);
+  EXPECT_FALSE(full.from_cache);
+  ExpectSameHits(baseline.Query(knn).hits, full.hits);
+}
+
 TEST(ShardedEngine, OverloadShedsTypedInsteadOfQueueing) {
   MultiFixture fx = MakeMultiFixture(/*num_videos=*/4, /*base_per_video=*/4,
                                      /*seed=*/41);
-  ShardedEngineOptions so;
+  EngineOptions so;
   so.num_shards = 4;
   so.num_threads = 2;
   so.max_pending = 0;  // admit nothing
-  ShardedQueryEngine sharded(FastIndex(), so);
+  QueryEngine sharded(FastIndex(), so);
   FeedAll(sharded, fx);
 
   QueryResult r = sharded.Query(api::QuerySpec::Similar(fx.queries[0], 5));
@@ -410,11 +416,11 @@ TEST(ShardedEngine, OverloadShedsTypedInsteadOfQueueing) {
 TEST(ShardedEngine, CancellationAndDeadlineRaceIsClean) {
   MultiFixture fx = MakeMultiFixture(/*num_videos=*/6, /*base_per_video=*/4,
                                      /*seed=*/53);
-  ShardedEngineOptions so;
+  EngineOptions so;
   so.num_shards = 4;
   so.num_threads = 4;
   so.max_pending = 64;
-  ShardedQueryEngine sharded(FastIndex(), so);
+  QueryEngine sharded(FastIndex(), so);
   std::vector<int> segment_ids = FeedAll(sharded, fx);
 
   constexpr size_t kClients = 4;

@@ -194,8 +194,10 @@ TEST(Persistence, DatabaseSurvivesSaveAndRestore) {
   // Same query must return the same answer set (index rebuild is
   // deterministic for fixed parameters).
   const core::Og& probe = segment.decomposition.object_graphs[0];
-  auto a = original.FindSimilar(probe, 3, segment.Scaling());
-  auto b = restored.FindSimilar(probe, 3, segment.Scaling());
+  const api::QuerySpec knn =
+      api::QuerySpec::Similar(dist::OgToSequence(probe, segment.Scaling()), 3);
+  auto a = original.Query(knn);
+  auto b = restored.Query(knn);
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].og_id, b[i].og_id);

@@ -45,7 +45,8 @@ TEST(VideoDatabase, FindSimilarReturnsOwnOg) {
   SegmentResult lab = ProcessLab(3, 7);
   db.AddVideo("lab1", lab);
   const core::Og& probe = lab.decomposition.object_graphs[1];
-  auto hits = db.FindSimilar(probe, 1, lab.Scaling());
+  auto hits =
+      db.Query(QuerySpec::Similar(dist::OgToSequence(probe, lab.Scaling()), 1));
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].video, "lab1");
   EXPECT_NEAR(hits[0].distance, 0.0, 1e-9);
@@ -62,7 +63,8 @@ TEST(VideoDatabase, HitsResolveToCorrectVideos) {
   EXPECT_EQ(db.NumVideos(), 2u);
 
   const core::Og& probe = lab2.decomposition.object_graphs[0];
-  auto hits = db.FindSimilar(probe, 3, lab2.Scaling());
+  auto hits = db.Query(
+      QuerySpec::Similar(dist::OgToSequence(probe, lab2.Scaling()), 3));
   ASSERT_GE(hits.size(), 1u);
   EXPECT_EQ(hits[0].video, "lab2");
   EXPECT_NEAR(hits[0].distance, 0.0, 1e-9);
@@ -79,7 +81,8 @@ TEST(VideoDatabase, AddObjectGraphExtendsSegment) {
   db.AddObjectGraph(seg, "lab1", extra, lab.Scaling());
   EXPECT_EQ(db.NumObjectGraphs(), before + 1);
 
-  auto hits = db.FindSimilar(extra, 2, lab.Scaling());
+  auto hits =
+      db.Query(QuerySpec::Similar(dist::OgToSequence(extra, lab.Scaling()), 2));
   ASSERT_GE(hits.size(), 2u);
   // Both the original OG and the duplicate should surface at distance ~0.
   EXPECT_NEAR(hits[0].distance, 0.0, 1e-9);
@@ -91,7 +94,8 @@ TEST(VideoDatabase, DistanceComputationsAccumulate) {
   SegmentResult lab = ProcessLab(3, 7);
   db.AddVideo("lab1", lab);
   size_t after_build = db.DistanceComputations();
-  db.FindSimilar(lab.decomposition.object_graphs[0], 2, lab.Scaling());
+  const core::Og& probe = lab.decomposition.object_graphs[0];
+  db.Query(QuerySpec::Similar(dist::OgToSequence(probe, lab.Scaling()), 2));
   EXPECT_GT(db.DistanceComputations(), after_build);
 }
 

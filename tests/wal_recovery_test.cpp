@@ -15,6 +15,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "server/durable_engine.h"
@@ -90,20 +91,54 @@ std::unique_ptr<DurableQueryEngine> MustOpen(
   return std::move(engine).value();
 }
 
-/// Snapshot of the answers a database gives to a fixed probe set —
+/// The generation a write acked: QueryEngine returns it directly, the
+/// durable engine inside a StatusOr.
+uint64_t Unwrap(uint64_t generation) { return generation; }
+uint64_t Unwrap(const api::StatusOr<uint64_t>& generation) {
+  EXPECT_TRUE(generation.ok()) << generation.status().ToString();
+  return generation.ok() ? generation.value() : 0;
+}
+
+/// Uncached answer of the serving path (every shard's leg runs).
+std::vector<api::VideoDatabase::QueryHit> Served(DurableQueryEngine& e,
+                                                 const api::QuerySpec& spec) {
+  QueryOptions opts;
+  opts.use_cache = false;
+  QueryResult r = e.Query(spec, opts);
+  EXPECT_EQ(r.status, StatusCode::kOk);
+  return r.hits;
+}
+
+/// Snapshot of the answers the engine gives to a fixed probe set —
 /// compared field-by-field across a crash/reopen boundary.
-std::vector<api::VideoDatabase::QueryHit> Answers(
-    const DurableQueryEngine& e, const Fixture& fx) {
-  const api::VideoDatabase& db = e.engine().snapshot()->db;
+std::vector<api::VideoDatabase::QueryHit> Answers(DurableQueryEngine& e,
+                                                  const Fixture& fx) {
   std::vector<api::VideoDatabase::QueryHit> out;
   for (size_t i = 0; i < 3 && i < fx.queries.size(); ++i) {
-    auto hits =
-        db.Query(api::QuerySpec::Similar(fx.queries[i], 100000));
+    auto hits = Served(e, api::QuerySpec::Similar(fx.queries[i], 100000));
     out.insert(out.end(), hits.begin(), hits.end());
   }
-  auto active = db.Query(api::QuerySpec::Active("lab", 0, 1 << 30));
+  auto active = Served(e, api::QuerySpec::Active("lab", 0, 1 << 30));
   out.insert(out.end(), active.begin(), active.end());
   return out;
+}
+
+/// OGs held across all shards of the engine's published snapshots.
+size_t TotalOgs(const DurableQueryEngine& e) {
+  size_t total = 0;
+  for (size_t s = 0; s < e.engine().NumShards(); ++s) {
+    total += e.engine().shard(s).snapshot()->db.NumObjectGraphs();
+  }
+  return total;
+}
+
+/// The shard counts the crash-point matrix runs at. The shard count is
+/// never persisted, so every crash point must recover the same way at each.
+constexpr size_t kShardCounts[] = {1, 4};
+
+DurableEngineOptions Sharded(DurableEngineOptions opts, size_t shards) {
+  opts.engine.num_shards = shards;
+  return opts;
 }
 
 void ExpectSameAnswers(const std::vector<api::VideoDatabase::QueryHit>& a,
@@ -266,95 +301,107 @@ TEST(DurableEngine, AckedGenerationsSurviveReopen) {
 
 TEST(DurableEngine, CrashAfterAppendBeforePublishIsSafeToReplay) {
   Fixture fx = MakeFixture(8, 9);
-  std::string dir = FreshDir("afterappend");
+  for (size_t shards : kShardCounts) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const DurableEngineOptions opts = Sharded(SmallEngine(), shards);
+    std::string dir = FreshDir("afterappend" + std::to_string(shards));
 
-  std::vector<api::VideoDatabase::QueryHit> before;
-  {
-    auto e = MustOpen(dir, SmallEngine());
-    int segment_id = -1;
-    ASSERT_TRUE(e->AddVideo("lab", fx.segment, &segment_id).ok());
-    ASSERT_TRUE(e->AddObjectGraph(segment_id, "lab", fx.stream[0],
-                                  synth::SynthScaling())
-                    .ok());
-    // Crash point: the record reaches the log but the call never returns
-    // (not acked, generation never published).
-    e->set_fail_point(FailPoint::kAfterWalAppend);
-    auto g = e->AddObjectGraph(segment_id, "lab", fx.stream[1],
-                               synth::SynthScaling());
-    EXPECT_FALSE(g.ok());
-    EXPECT_EQ(e->Generation(), 2u);  // unchanged: never published
+    {
+      auto e = MustOpen(dir, opts);
+      int segment_id = -1;
+      ASSERT_TRUE(e->AddVideo("lab", fx.segment, &segment_id).ok());
+      ASSERT_TRUE(e->AddObjectGraph(segment_id, "lab", fx.stream[0],
+                                    synth::SynthScaling())
+                      .ok());
+      // Crash point: the record reaches the log but the call never returns
+      // (not acked, generation never published).
+      e->set_fail_point(FailPoint::kAfterWalAppend);
+      auto g = e->AddObjectGraph(segment_id, "lab", fx.stream[1],
+                                 synth::SynthScaling());
+      EXPECT_FALSE(g.ok());
+      EXPECT_EQ(e->Generation(), 2u);  // unchanged: never published
+    }
+
+    // Replaying the orphan record is allowed (it was durable, just
+    // unacked): the acked prefix must be present, and the orphan shows up
+    // as one more OG — a write the client never heard about, which
+    // durability permits.
+    auto e = MustOpen(dir, opts);
+    EXPECT_EQ(e->recovery().replayed_records, 3u);
+    EXPECT_EQ(e->Generation(), 3u);
+    EXPECT_EQ(TotalOgs(*e), 8u + 2u);
   }
-
-  // Replaying the orphan record is allowed (it was durable, just unacked):
-  // the acked prefix must be present, and the orphan shows up as one more
-  // OG — a write the client never heard about, which durability permits.
-  auto e = MustOpen(dir, SmallEngine());
-  EXPECT_EQ(e->recovery().replayed_records, 3u);
-  EXPECT_EQ(e->Generation(), 3u);
-  EXPECT_EQ(e->engine().snapshot()->db.NumObjectGraphs(), 8u + 2u);
 }
 
 TEST(DurableEngine, CrashMidCompactionOrphanTmpIsIgnored) {
   Fixture fx = MakeFixture(8, 11);
-  std::string dir = FreshDir("orphantmp");
+  for (size_t shards : kShardCounts) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const DurableEngineOptions opts = Sharded(SmallEngine(), shards);
+    std::string dir = FreshDir("orphantmp" + std::to_string(shards));
 
-  std::vector<api::VideoDatabase::QueryHit> before;
-  {
-    auto e = MustOpen(dir, SmallEngine());
-    int segment_id = -1;
-    ASSERT_TRUE(e->AddVideo("lab", fx.segment, &segment_id).ok());
-    ASSERT_TRUE(e->AddObjectGraph(segment_id, "lab", fx.stream[0],
-                                  synth::SynthScaling())
-                    .ok());
-    before = Answers(*e, fx);
-  }
-  // Crash mid-compaction: a half-written tmp snapshot is on disk.
-  {
-    std::ofstream tmp(DurableQueryEngine::SnapshotTmpPath(dir),
-                      std::ios::binary);
-    tmp << "half-written garbage that must never be loaded";
-  }
+    std::vector<api::VideoDatabase::QueryHit> before;
+    {
+      auto e = MustOpen(dir, opts);
+      int segment_id = -1;
+      ASSERT_TRUE(e->AddVideo("lab", fx.segment, &segment_id).ok());
+      ASSERT_TRUE(e->AddObjectGraph(segment_id, "lab", fx.stream[0],
+                                    synth::SynthScaling())
+                      .ok());
+      before = Answers(*e, fx);
+    }
+    // Crash mid-compaction: a half-written tmp snapshot is on disk.
+    {
+      std::ofstream tmp(DurableQueryEngine::SnapshotTmpPath(dir),
+                        std::ios::binary);
+      tmp << "half-written garbage that must never be loaded";
+    }
 
-  auto e = MustOpen(dir, SmallEngine());
-  EXPECT_TRUE(e->recovery().removed_orphan_tmp);
-  EXPECT_FALSE(fs::exists(DurableQueryEngine::SnapshotTmpPath(dir)));
-  EXPECT_EQ(e->Generation(), 2u);
-  ExpectSameAnswers(before, Answers(*e, fx));
+    auto e = MustOpen(dir, opts);
+    EXPECT_TRUE(e->recovery().removed_orphan_tmp);
+    EXPECT_FALSE(fs::exists(DurableQueryEngine::SnapshotTmpPath(dir)));
+    EXPECT_EQ(e->Generation(), 2u);
+    ExpectSameAnswers(before, Answers(*e, fx));
+  }
 }
 
 TEST(DurableEngine, CrashBetweenSnapshotRenameAndLogResetSkipsStaleRecords) {
   Fixture fx = MakeFixture(8, 13);
-  std::string dir = FreshDir("stalelog");
+  for (size_t shards : kShardCounts) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const DurableEngineOptions opts = Sharded(SmallEngine(), shards);
+    std::string dir = FreshDir("stalelog" + std::to_string(shards));
 
-  std::vector<api::VideoDatabase::QueryHit> before;
-  uint64_t acked_gen = 0;
-  {
-    auto e = MustOpen(dir, SmallEngine());
-    int segment_id = -1;
-    ASSERT_TRUE(e->AddVideo("lab", fx.segment, &segment_id).ok());
-    for (size_t i = 0; i < 3; ++i) {
-      auto g = e->AddObjectGraph(segment_id, "lab", fx.stream[i],
-                                 synth::SynthScaling());
-      ASSERT_TRUE(g.ok());
-      acked_gen = g.value();
+    std::vector<api::VideoDatabase::QueryHit> before;
+    uint64_t acked_gen = 0;
+    {
+      auto e = MustOpen(dir, opts);
+      int segment_id = -1;
+      ASSERT_TRUE(e->AddVideo("lab", fx.segment, &segment_id).ok());
+      for (size_t i = 0; i < 3; ++i) {
+        auto g = e->AddObjectGraph(segment_id, "lab", fx.stream[i],
+                                   synth::SynthScaling());
+        ASSERT_TRUE(g.ok());
+        acked_gen = g.value();
+      }
+      before = Answers(*e, fx);
+      // Crash point: snapshot published, log never reset — every log
+      // record is now a stale duplicate of snapshot contents.
+      e->set_fail_point(FailPoint::kAfterSnapshotRename);
+      EXPECT_FALSE(e->Compact().ok());
     }
-    before = Answers(*e, fx);
-    // Crash point: snapshot published, log never reset — every log record
-    // is now a stale duplicate of snapshot contents.
-    e->set_fail_point(FailPoint::kAfterSnapshotRename);
-    EXPECT_FALSE(e->Compact().ok());
-  }
-  ASSERT_TRUE(fs::exists(DurableQueryEngine::SnapshotPath(dir)));
-  ASSERT_GT(fs::file_size(DurableQueryEngine::LogPath(dir)), 0u);
+    ASSERT_TRUE(fs::exists(DurableQueryEngine::SnapshotPath(dir)));
+    ASSERT_GT(fs::file_size(DurableQueryEngine::LogPath(dir)), 0u);
 
-  auto e = MustOpen(dir, SmallEngine());
-  // Every record was skipped as stale — nothing double-applied.
-  EXPECT_EQ(e->recovery().stale_records, 4u);
-  EXPECT_EQ(e->recovery().replayed_records, 0u);
-  EXPECT_EQ(e->recovery().snapshot_segments, 1u);
-  EXPECT_EQ(e->Generation(), acked_gen);
-  EXPECT_EQ(e->engine().snapshot()->db.NumObjectGraphs(), 8u + 3u);
-  ExpectSameAnswers(before, Answers(*e, fx));
+    auto e = MustOpen(dir, opts);
+    // Every record was skipped as stale — nothing double-applied.
+    EXPECT_EQ(e->recovery().stale_records, 4u);
+    EXPECT_EQ(e->recovery().replayed_records, 0u);
+    EXPECT_EQ(e->recovery().snapshot_segments, 1u);
+    EXPECT_EQ(e->Generation(), acked_gen);
+    EXPECT_EQ(TotalOgs(*e), 8u + 3u);
+    ExpectSameAnswers(before, Answers(*e, fx));
+  }
 }
 
 TEST(DurableEngine, CompactionBoundsReplayAndPreservesAnswers) {
@@ -461,35 +508,40 @@ TEST(DurableEngine, UnknownSegmentIsNotFoundAndNothingIsLogged) {
 
 TEST(DurableEngine, CrashAfterTmpSnapshotWriteServesOldSnapshotPlusLog) {
   Fixture fx = MakeFixture(8, 37);
-  std::string dir = FreshDir("tmpcrash");
+  for (size_t shards : kShardCounts) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const DurableEngineOptions opts = Sharded(SmallEngine(), shards);
+    std::string dir = FreshDir("tmpcrash" + std::to_string(shards));
 
-  std::vector<api::VideoDatabase::QueryHit> before;
-  {
-    auto e = MustOpen(dir, SmallEngine());
-    int segment_id = -1;
-    ASSERT_TRUE(e->AddVideo("lab", fx.segment, &segment_id).ok());
-    ASSERT_TRUE(e->AddObjectGraph(segment_id, "lab", fx.stream[0],
-                                  synth::SynthScaling())
-                    .ok());
-    before = Answers(*e, fx);
-    // Crash point: the tmp snapshot was fully written and fsynced, but the
-    // process died before the rename published it.
-    e->set_fail_point(FailPoint::kAfterSnapshotTmpWrite);
-    EXPECT_FALSE(e->Compact().ok());
+    std::vector<api::VideoDatabase::QueryHit> before;
+    {
+      auto e = MustOpen(dir, opts);
+      int segment_id = -1;
+      ASSERT_TRUE(e->AddVideo("lab", fx.segment, &segment_id).ok());
+      ASSERT_TRUE(e->AddObjectGraph(segment_id, "lab", fx.stream[0],
+                                    synth::SynthScaling())
+                      .ok());
+      before = Answers(*e, fx);
+      // Crash point: the tmp snapshot was fully written and fsynced, but
+      // the process died before the rename published it.
+      e->set_fail_point(FailPoint::kAfterSnapshotTmpWrite);
+      EXPECT_FALSE(e->Compact().ok());
+    }
+    // A real tmp file (a complete snapshot, not garbage) is on disk, the
+    // published snapshot does not exist, and the log still covers
+    // everything.
+    ASSERT_TRUE(fs::exists(DurableQueryEngine::SnapshotTmpPath(dir)));
+    ASSERT_FALSE(fs::exists(DurableQueryEngine::SnapshotPath(dir)));
+    ASSERT_GT(fs::file_size(DurableQueryEngine::LogPath(dir)), 0u);
+
+    auto e = MustOpen(dir, opts);
+    EXPECT_TRUE(e->recovery().removed_orphan_tmp);
+    EXPECT_FALSE(fs::exists(DurableQueryEngine::SnapshotTmpPath(dir)));
+    // The whole state came back from the log (there was no snapshot yet).
+    EXPECT_EQ(e->recovery().replayed_records, 2u);
+    EXPECT_EQ(e->Generation(), 2u);
+    ExpectSameAnswers(before, Answers(*e, fx));
   }
-  // A real tmp file (a complete snapshot, not garbage) is on disk, the
-  // published snapshot does not exist, and the log still covers everything.
-  ASSERT_TRUE(fs::exists(DurableQueryEngine::SnapshotTmpPath(dir)));
-  ASSERT_FALSE(fs::exists(DurableQueryEngine::SnapshotPath(dir)));
-  ASSERT_GT(fs::file_size(DurableQueryEngine::LogPath(dir)), 0u);
-
-  auto e = MustOpen(dir, SmallEngine());
-  EXPECT_TRUE(e->recovery().removed_orphan_tmp);
-  EXPECT_FALSE(fs::exists(DurableQueryEngine::SnapshotTmpPath(dir)));
-  // The whole state came back from the log (there was no snapshot yet).
-  EXPECT_EQ(e->recovery().replayed_records, 2u);
-  EXPECT_EQ(e->Generation(), 2u);
-  ExpectSameAnswers(before, Answers(*e, fx));
 }
 
 TEST(DurableEngine, RecoverySweepsEveryOrphanTmpFile) {
@@ -559,33 +611,144 @@ TEST(DurableEngine, PagedModeAnswersMatchInRamMode) {
 
 TEST(DurableEngine, PagedModeRecoversThroughCompactionAndReopen) {
   Fixture fx = MakeFixture(8, 47);
-  std::string dir = FreshDir("paged_recover");
+  for (size_t shards : kShardCounts) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const DurableEngineOptions opts =
+        Sharded(PagedEngine(/*compact_every=*/4), shards);
+    std::string dir = FreshDir("paged_recover" + std::to_string(shards));
 
-  std::vector<api::VideoDatabase::QueryHit> before;
-  uint64_t acked_gen = 0;
-  {
-    auto e = MustOpen(dir, PagedEngine(/*compact_every=*/4));
-    int segment_id = -1;
-    ASSERT_TRUE(e->AddVideo("lab", fx.segment, &segment_id).ok());
-    for (size_t i = 0; i < 6; ++i) {
-      auto g = e->AddObjectGraph(segment_id, "lab", fx.stream[i],
-                                 synth::SynthScaling());
-      ASSERT_TRUE(g.ok()) << g.status().ToString();
-      acked_gen = g.value();
+    std::vector<api::VideoDatabase::QueryHit> before;
+    uint64_t acked_gen = 0;
+    {
+      auto e = MustOpen(dir, opts);
+      int segment_id = -1;
+      ASSERT_TRUE(e->AddVideo("lab", fx.segment, &segment_id).ok());
+      for (size_t i = 0; i < 6; ++i) {
+        auto g = e->AddObjectGraph(segment_id, "lab", fx.stream[i],
+                                   synth::SynthScaling());
+        ASSERT_TRUE(g.ok()) << g.status().ToString();
+        acked_gen = g.value();
+      }
+      EXPECT_GE(e->engine().metrics().wal_compactions.load(), 1u);
+      before = Answers(*e, fx);
     }
-    EXPECT_GE(e->engine().metrics().wal_compactions.load(), 1u);
-    before = Answers(*e, fx);
-  }
-  // Compaction published the snapshot as a page file, not a flat blob.
-  ASSERT_TRUE(fs::exists(DurableQueryEngine::PagedSnapshotPath(dir)));
-  ASSERT_FALSE(fs::exists(DurableQueryEngine::SnapshotPath(dir)));
+    // Compaction published the snapshot as a page file, not a flat blob.
+    ASSERT_TRUE(fs::exists(DurableQueryEngine::PagedSnapshotPath(dir)));
+    ASSERT_FALSE(fs::exists(DurableQueryEngine::SnapshotPath(dir)));
 
-  auto e = MustOpen(dir, PagedEngine(/*compact_every=*/4));
-  EXPECT_EQ(e->recovery().snapshot_segments, 1u);
-  EXPECT_GE(e->recovery().snapshot_ogs, 8u);
-  EXPECT_EQ(e->Generation(), acked_gen);
-  EXPECT_EQ(e->engine().snapshot()->db.NumObjectGraphs(), 8u + 6u);
-  ExpectSameAnswers(before, Answers(*e, fx));
+    auto e = MustOpen(dir, opts);
+    EXPECT_EQ(e->recovery().snapshot_segments, 1u);
+    EXPECT_GE(e->recovery().snapshot_ogs, 8u);
+    EXPECT_EQ(e->Generation(), acked_gen);
+    EXPECT_EQ(TotalOgs(*e), 8u + 6u);
+    ExpectSameAnswers(before, Answers(*e, fx));
+  }
+}
+
+/// Several videos (hash-spread over shards) fed one write sequence: each
+/// video's AddVideo, then a stream of AddObjectGraph calls round-robin over
+/// the videos. Returns the acked generation of the last write.
+template <typename Engine>
+uint64_t FeedVideos(Engine& engine, const Fixture& fx, size_t num_videos) {
+  std::vector<api::SegmentResult> segments(num_videos, fx.segment);
+  for (api::SegmentResult& seg : segments) seg.decomposition.object_graphs = {};
+  const auto& base = fx.segment.decomposition.object_graphs;
+  for (size_t i = 0; i < base.size(); ++i) {
+    segments[i % num_videos].decomposition.object_graphs.push_back(base[i]);
+  }
+  std::vector<int> ids(num_videos, -1);
+  uint64_t gen = 0;
+  for (size_t v = 0; v < num_videos; ++v) {
+    gen = Unwrap(engine.AddVideo("cam_" + std::to_string(v), segments[v],
+                                 &ids[v]));
+  }
+  for (size_t i = 0; i < fx.stream.size(); ++i) {
+    const size_t v = i % num_videos;
+    gen = Unwrap(engine.AddObjectGraph(ids[v], "cam_" + std::to_string(v),
+                                       fx.stream[i], synth::SynthScaling()));
+  }
+  return gen;
+}
+
+/// Every probe (kNN, range) and every video's temporal window, served
+/// uncached; og id and distance must match bit for bit.
+template <typename Engine>
+void ExpectBitIdentical(Engine& want, DurableQueryEngine& got,
+                        const Fixture& fx, size_t num_videos) {
+  QueryOptions opts;
+  opts.use_cache = false;
+  std::vector<api::QuerySpec> specs;
+  for (size_t q = 0; q < 6; ++q) {
+    specs.push_back(api::QuerySpec::Similar(fx.queries[q], 5));
+    // A radius that returns a mid-size answer set (the 3rd neighbour).
+    const QueryResult knn = want.Query(specs.back(), opts);
+    ASSERT_EQ(knn.hits.size(), 5u);
+    specs.push_back(api::QuerySpec::WithinRadius(
+        fx.queries[q], knn.hits[2].distance * 1.0001));
+  }
+  for (size_t v = 0; v < num_videos; ++v) {
+    specs.push_back(
+        api::QuerySpec::Active("cam_" + std::to_string(v), 0, 1 << 30));
+  }
+  for (size_t i = 0; i < specs.size(); ++i) {
+    SCOPED_TRACE("spec " + std::to_string(i));
+    const QueryResult a = want.Query(specs[i], opts);
+    const QueryResult b = got.Query(specs[i], opts);
+    ASSERT_EQ(a.status, StatusCode::kOk);
+    ASSERT_EQ(b.status, StatusCode::kOk);
+    ASSERT_FALSE(a.hits.empty());
+    ASSERT_EQ(a.hits.size(), b.hits.size());
+    for (size_t h = 0; h < a.hits.size(); ++h) {
+      EXPECT_EQ(a.hits[h].og_id, b.hits[h].og_id) << "hit " << h;
+      EXPECT_EQ(a.hits[h].distance, b.hits[h].distance) << "hit " << h;
+    }
+  }
+}
+
+// The shard count is not persisted: a directory written at one count
+// reopens at another, and both sides answer exactly like a single-shard
+// engine fed the same writes (WAL records carry engine-wide ids).
+TEST(DurableEngine, DirectoryReopensAtAnyShardCount) {
+  Fixture fx = MakeFixture(24, 61);
+  constexpr size_t kVideos = 5;
+  QueryEngine want(FastIndex(), EngineOptions{});
+  const uint64_t acked_gen = FeedVideos(want, fx, kVideos);
+
+  const std::pair<size_t, size_t> kWriteRead[] = {{1, 4}, {4, 1}};
+  for (bool paged : {false, true}) {
+    for (const auto& [write_n, read_n] : kWriteRead) {
+      SCOPED_TRACE(std::string(paged ? "paged " : "flat ") + "write at " +
+                   std::to_string(write_n) + ", reopen at " +
+                   std::to_string(read_n));
+      const DurableEngineOptions base = paged ? PagedEngine() : SmallEngine();
+      std::string dir = FreshDir("reshard" + std::to_string(write_n) +
+                                 (paged ? "p" : "f"));
+      {
+        auto e = MustOpen(dir, Sharded(base, write_n));
+        EXPECT_EQ(FeedVideos(*e, fx, kVideos), acked_gen);
+        ExpectBitIdentical(want, *e, fx, kVideos);
+      }
+      auto e = MustOpen(dir, Sharded(base, read_n));
+      EXPECT_EQ(e->engine().NumShards(), read_n);
+      EXPECT_EQ(e->Generation(), acked_gen);
+      EXPECT_EQ(TotalOgs(*e), 24u + fx.stream.size());
+      ExpectBitIdentical(want, *e, fx, kVideos);
+
+      // Compaction collapses the history into a few snapshot publishes;
+      // after a reopen, answers — a one-shard leg included — still report
+      // at least the last acked generation.
+      ASSERT_TRUE(e->Compact().ok());
+      e = MustOpen(dir, Sharded(base, write_n));
+      EXPECT_EQ(e->Generation(), acked_gen);
+      QueryOptions opts;
+      opts.use_cache = false;
+      for (const api::QuerySpec& spec :
+           {api::QuerySpec::Similar(fx.queries[0], 5),
+            api::QuerySpec::Active("cam_0", 0, 1 << 30)}) {
+        EXPECT_GE(e->Query(spec, opts).generation, acked_gen);
+      }
+    }
+  }
 }
 
 TEST(DurableEngine, PagedCrashAfterTmpSnapshotWriteIsCleanedUp) {
