@@ -2,18 +2,21 @@
 # Repo verification: tier-1 build + full test suite, then an AddressSanitizer
 # pass over the concurrency-sensitive tests (serving layer + thread pool +
 # the WAL crash-recovery matrix + the distance-kernel and parallel-ingest
-# equivalence suites), then a UBSan pass over the recovery-, distance- and
-# ingest-labeled tests (the durability layer does raw byte punning; the fast
-# EGED kernel does banded DP over raw row pointers; the mean-shift kernel
-# does integral-image index arithmetic — exactly where UB hides).
+# equivalence suites), then a UBSan pass over the recovery-, distance-,
+# ingest- and paging-labeled tests (the durability layer and the pager do
+# raw byte punning; the fast EGED kernel does banded DP over raw row
+# pointers; the mean-shift kernel does integral-image index arithmetic —
+# exactly where UB hides). UBSan reports are fatal (-fno-sanitize-recover,
+# set by CMakeLists.txt for STRG_SANITIZE=undefined), so a report fails the
+# test that triggered it.
 # A dedicated `server` stage runs the server-labeled suites (sharded
 # scatter-gather, async runtime, metrics JSON) under ASan, and — with
 # STRG_CHECK_TSAN=1 — the cancellation/deadline race and tau-pruning tests
 # under TSan. A `simd` stage re-runs the distance|simd suites under ASan and
 # UBSan with STRG_FORCE_SCALAR=1, covering both dispatch tiers and the env
 # override plumbing. A `cluster` stage runs the cluster|seeding suites under
-# ASan and UBSan (the Elkan/Hamerly bound bookkeeping and its batched
-# kernel hand-off), and the TSan pass adds the parallel-restart equivalence
+# ASan and UBSan (the Elkan/Hamerly bound bookkeeping and its flat-kernel
+# hand-off), and the TSan pass adds the parallel-restart equivalence
 # test.
 #
 # A `deadlock` stage rebuilds with STRG_DEADLOCK_CHECK=ON and runs the
@@ -85,12 +88,14 @@ ctest --test-dir build-asan -L server --output-on-failure -j
 echo
 echo "== cluster stage (ASan + UBSan): bounded-assignment equivalence =="
 # The Elkan/Hamerly layer (src/cluster/bounds.h) keeps m x k bound arrays
-# hot across iterations and hands flat-form rows to the batched DP kernels
+# hot across iterations and hands flat-form rows to the bounded DP kernel
 # — an off-by-one in the lb row indexing or a stale flat pointer after a
 # reseed is exactly the bug class ASan catches; the score-space pruning
 # does log/sqrt radius arithmetic where UBSan would see a domain slip.
 cmake --build build-asan -j --target cluster_bounds_test cluster_test \
   seeding_test
+cmake -B build-ubsan -S . -DSTRG_SANITIZE=undefined \
+  -DSTRG_BUILD_BENCHMARKS=OFF -DSTRG_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-ubsan -j --target cluster_bounds_test cluster_test \
   seeding_test
 ctest --test-dir build-asan -L 'cluster|seeding' --output-on-failure -j
@@ -117,12 +122,11 @@ else
 fi
 
 echo
-echo "== UBSan pass over recovery+distance+ingest-labeled tests (STRG_SANITIZE=undefined) =="
-cmake -B build-ubsan -S . -DSTRG_SANITIZE=undefined \
-  -DSTRG_BUILD_BENCHMARKS=OFF -DSTRG_BUILD_EXAMPLES=OFF >/dev/null
+echo "== UBSan pass over recovery+distance+ingest+paging-labeled tests (STRG_SANITIZE=undefined) =="
 cmake --build build-ubsan -j --target wal_recovery_test distance_kernel_test \
-  ingest_parallel_test
-ctest --test-dir build-ubsan -L 'recovery|distance|ingest' --output-on-failure -j
+  ingest_parallel_test paging_test
+ctest --test-dir build-ubsan -L 'recovery|distance|ingest|paging' \
+  --output-on-failure -j
 
 echo
 echo "== simd stage: dispatch-tier equivalence under ASan + UBSan, both tiers =="
@@ -157,7 +161,7 @@ if [[ "${STRG_CHECK_TSAN:-0}" == "1" ]]; then
   # store -> buffer cache lock chain runs under the race checker.
   ./build-tsan/tests/sharded_engine_test \
     --gtest_filter='ShardedEngine.CancellationAndDeadlineRaceIsClean:ShardedEngine.TauPruningFiresAndStaysExact:ShardedEngine.DeepLockChainStressWithLiveWriter'
-  # Fast/reference equivalence with the thread pool engaged (parallel build
+  # Brute-force oracle equivalence with the thread pool engaged (parallel build
   # + concurrent queries) — the data-race check for the kernel's thread-local
   # workspaces and the per-query counter plumbing.
   ./build-tsan/tests/distance_kernel_test

@@ -127,28 +127,6 @@ double BoundedAssigner::Eval(size_t j, size_t c, double tau,
   return distance_->Bounded((*data_)[j], cents_[c], tau);
 }
 
-/// Evaluates cand_ with taus_ into outs_ (batched on the flat path;
-/// bitwise identical to per-candidate Eval calls either way).
-void BoundedAssigner::EvalBatch(size_t j, ClusterStats* stats) {
-  const size_t n = cand_.size();
-  outs_.resize(n);
-  if (n == 0) return;
-  stats->assign_distances += n;
-  if (eged_ != nullptr) {
-    cand_ptrs_.clear();
-    for (uint32_t c : cand_) cand_ptrs_.push_back(&cent_flats_[c]);
-    dist::EgedKernelStats ks;
-    dist::EgedBatchBounded(data_flats_[j], cand_ptrs_.data(), taus_.data(), n,
-                           outs_.data(), &dist::ThreadLocalEgedWorkspace(),
-                           &ks);
-    AddKernel(ks, stats);
-    return;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    outs_[i] = distance_->Bounded((*data_)[j], cents_[cand_[i]], taus_[i]);
-  }
-}
-
 BoundedAssigner::Nearest BoundedAssigner::NearestCentroid(size_t j,
                                                           bool need_exact,
                                                           ClusterStats* stats) {
@@ -194,28 +172,21 @@ BoundedAssigner::Nearest BoundedAssigner::NearestCentroid(size_t j,
 
   size_t b_idx = a;
   double best = d_a;
-  cand_.clear();
   for (size_t c = 0; c < k_; ++c) {
     if (c == a) continue;
     double l = LbV(j, c);
-    // Tie-aware prune: d(j,c) >= l, so l > best loses outright; at l ==
-    // best, c can at most tie and loses unless its index beats the current
-    // winner's.
-    if (l > best || (l == best && b_idx < c)) {
+    // Tie-aware prune against the anchor: d(j,c) >= l, so l > d_a loses
+    // outright; at l == d_a, c can at most tie and loses unless its index
+    // beats the anchor's. Every survivor is evaluated with the fixed tau =
+    // d_a — a result above d_a can never win — so each stored lower bound
+    // is independent of the scan order.
+    if (l > d_a || (l == d_a && a < c)) {
       ++stats->assign_prunes;
       continue;
     }
-    cand_.push_back(static_cast<uint32_t>(c));
-  }
-  // Fixed tau = d_a (the batch takes per-candidate taus up front; best only
-  // shrinks below it, and a result above d_a can never win).
-  taus_.assign(cand_.size(), d_a);
-  EvalBatch(j, stats);
-  for (size_t i = 0; i < cand_.size(); ++i) {
-    size_t c = cand_[i];
-    double v = outs_[i];
+    double v = Eval(j, c, d_a, stats);
     Lb(j, c) = v;
-    if (v <= taus_[i] && (v < best || (v == best && c < b_idx))) {
+    if (v <= d_a && (v < best || (v == best && c < b_idx))) {
       best = v;
       b_idx = c;
     }
@@ -264,32 +235,26 @@ BoundedAssigner::Scored BoundedAssigner::BestScoringComponent(
   double d_a = Eval(j, a, ub_[j], stats);  // exact (d <= ub)
   Lb(j, a) = d_a;
   ub_[j] = d_a;
+  const double s_a = ScoreLogDensity(sigmas[a], d_a);
   size_t b_idx = a;
-  double best_s = ScoreLogDensity(sigmas[a], d_a);
+  double best_s = s_a;
   double b_d = d_a;
-
-  cand_.clear();
-  taus_.clear();
   for (size_t c = 0; c < k_; ++c) {
     if (c == a) continue;
     // The compiled score expression is monotone non-increasing in d (each
     // of square, divide, subtract rounds monotonically), so a distance
     // lower bound yields a score upper bound — comparisons stay in score
-    // space and inherit the exhaustive scan's tie semantics.
+    // space and inherit the exhaustive scan's tie semantics. Prune and
+    // radius are taken against the anchor's score, as in NearestCentroid.
     double sbar = ScoreLogDensity(sigmas[c], LbV(j, c));
-    if (sbar < best_s || (sbar == best_s && b_idx < c)) {
+    if (sbar < s_a || (sbar == s_a && a < c)) {
       ++stats->assign_prunes;
       continue;
     }
-    cand_.push_back(static_cast<uint32_t>(c));
-    taus_.push_back(ScoreTau(sigmas[c], best_s));
-  }
-  EvalBatch(j, stats);
-  for (size_t i = 0; i < cand_.size(); ++i) {
-    size_t c = cand_[i];
-    double v = outs_[i];
+    const double tau = ScoreTau(sigmas[c], s_a);
+    double v = Eval(j, c, tau, stats);
     Lb(j, c) = v;
-    if (v > taus_[i]) {
+    if (v > tau) {
       double sv = ScoreLogDensity(sigmas[c], v);
       if (sv < best_s || (sv == best_s && b_idx < c)) continue;
       ++stats->bound_reevals;
@@ -323,8 +288,7 @@ double BoundedAssigner::NearestDistance(size_t j, ClusterStats* stats) {
   Lb(j, a) = d_a;
   ub_[j] = d_a;
   double best = d_a;
-  // Sequential shrinking-tau scan (value only; the guard fires rarely, so
-  // the tighter per-candidate tau beats batch amortization here).
+  // Sequential shrinking-tau scan (value only).
   for (size_t c = 0; c < k_; ++c) {
     if (c == a) continue;
     if (LbV(j, c) >= best) {
@@ -357,16 +321,14 @@ void BoundedAssigner::ExactMatrix(const std::vector<dist::Sequence>& centroids,
   stats->matrix_distances += static_cast<uint64_t>(m_) * kk;
   if (eged_ != nullptr) {
     std::vector<dist::FlatSequence> flats(kk);
-    std::vector<const dist::FlatSequence*> ptrs(kk);
     for (size_t c = 0; c < kk; ++c) {
       flats[c].Assign(centroids[c], eged_->gap());
-      ptrs[c] = &flats[c];
     }
-    std::vector<double> taus(kk, kInf);
     auto row = [&](size_t j) {
-      dist::EgedBatchBounded(data_flats_[j], ptrs.data(), taus.data(), kk,
-                             (*out)[j].data(),
-                             &dist::ThreadLocalEgedWorkspace());
+      for (size_t c = 0; c < kk; ++c) {
+        (*out)[j][c] = dist::EgedMetricFlat(data_flats_[j], flats[c],
+                                            &dist::ThreadLocalEgedWorkspace());
+      }
     };
     if (pool != nullptr) {
       pool->ParallelFor(0, m_, row);

@@ -47,8 +47,8 @@ inline double ScoreLogDensity(double sigma, double d) {
 ///
 /// A scan then skips any centroid whose lower bound already exceeds the
 /// current best (or whole scans, Hamerly-style, when ub < min lb), and
-/// evaluates the survivors through the batched early-abandoning DP
-/// (EgedBatchBounded) with tau = current best.
+/// evaluates each survivor through the early-abandoning DP
+/// (EgedMetricBounded) with tau = the anchor's distance.
 ///
 /// Admissibility in floating point: the triangle inequality holds for the
 /// TRUE metric values, while both the stored bounds and the scan comparands
@@ -69,9 +69,9 @@ inline double ScoreLogDensity(double sigma, double d) {
 ///  - bounded(): use_bounds && distance.IsMetric() — full Elkan/Hamerly
 ///    machinery. Never enabled for non-metric measures (inadmissible).
 ///  - batched(): the distance is a bare EgedMetricDistance — scans and
-///    matrices run on cached flat forms through the PR 8 batch kernels
-///    (bitwise identical to the scalar calls). Otherwise evaluations go
-///    through SequenceDistance::Bounded.
+///    matrices run the flat kernels on cached flat forms (bitwise identical
+///    to the Sequence-interface calls). Otherwise evaluations go through
+///    SequenceDistance::Bounded.
 ///
 /// Not thread-safe: scans mutate shared bound state. ExactMatrix is const
 /// and may use a pool internally (rows are independent).
@@ -128,8 +128,8 @@ class BoundedAssigner {
   double CentroidDistance(size_t c1, size_t c2, ClusterStats* stats) const;
 
   /// Full exact item x centroid matrix for an arbitrary centroid set
-  /// (deferred EM log-likelihood, KHM's soft-membership scan). Batched
-  /// per-row when batched(); rows fan out over `pool` when provided.
+  /// (deferred EM log-likelihood, KHM's soft-membership scan). Flat kernels
+  /// when batched(); rows fan out over `pool` when provided.
   void ExactMatrix(const std::vector<dist::Sequence>& centroids,
                    ThreadPool* pool, std::vector<std::vector<double>>* out,
                    ClusterStats* stats) const;
@@ -138,33 +138,27 @@ class BoundedAssigner {
   static constexpr uint32_t kInvalid = std::numeric_limits<uint32_t>::max();
 
   double Eval(size_t j, size_t c, double tau, ClusterStats* stats);
-  void EvalBatch(size_t j, ClusterStats* stats);
   double& Lb(size_t j, size_t c) { return lb_[j * k_ + c]; }
   double LbV(size_t j, size_t c) const { return lb_[j * k_ + c]; }
   void ColdReset();
 
   const std::vector<dist::Sequence>* data_;
   const dist::SequenceDistance* distance_;
-  const dist::EgedMetricDistance* eged_;  ///< non-null => flat batch kernels
+  const dist::EgedMetricDistance* eged_;  ///< non-null => flat kernels
   bool bounds_;
   size_t m_;
   size_t k_ = 0;
 
-  std::vector<dist::FlatSequence> data_flats_;  ///< batch mode only
+  std::vector<dist::FlatSequence> data_flats_;  ///< flat mode only
   std::vector<dist::Sequence> cents_;           ///< installed centroids
-  std::vector<dist::FlatSequence> cent_flats_;  ///< batch mode only
+  std::vector<dist::FlatSequence> cent_flats_;  ///< flat mode only
 
   std::vector<double> ub_;        ///< per item, +inf when unknown
   std::vector<uint32_t> assign_;  ///< anchor centroid per item
   std::vector<double> lb_;        ///< m_ x k_, row-major, 0 when unknown
   std::vector<double> drift_;     ///< scratch for SetCentroids
 
-  // Scan scratch (scans are sequential; ExactMatrix builds its own).
-  std::vector<uint32_t> cand_;
-  std::vector<double> taus_;
-  std::vector<double> outs_;
-  std::vector<const dist::FlatSequence*> cand_ptrs_;
-  dist::FlatSequence scratch_flat_;
+  dist::FlatSequence scratch_flat_;  ///< SetCentroids drift scratch
 };
 
 }  // namespace strg::cluster

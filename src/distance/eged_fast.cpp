@@ -113,11 +113,11 @@ double EgedLowerBound(const FlatSequence& a, const FlatSequence& b) {
 
 namespace {
 
-/// Shared DP body with band pruning (the pruned-DTW idea of Silva &
-/// Batista, adapted to the EGED/ERP recurrence). Identical arithmetic, in
-/// identical order, to the reference EgedMetric (eged.cpp) for every cell
-/// whose true value is <= tau — which is what makes a completed run return
-/// the reference result bit-for-bit whenever the true distance is <= tau.
+/// The banded DP body (the pruned-DTW idea of Silva & Batista, adapted to
+/// the EGED/ERP recurrence). Identical arithmetic, in identical order, to the
+/// reference EgedMetric (eged.cpp) for every cell whose true value is <= tau
+/// — which is what makes a completed run return the reference result
+/// bit-for-bit whenever the true distance is <= tau.
 ///
 /// Band invariant: [pb, pe] spans every column of the previous row whose
 /// computed value is <= tau; columns outside behave as +infinity. A cell
@@ -130,18 +130,40 @@ namespace {
 /// pe + 1 (no finite vertical/diagonal candidates remain) and above tau
 /// (the horizontal chain only accumulates non-negative gap costs).
 ///
+/// On a vector tier, a row whose in-band region is at least kMinVecWidth
+/// wide runs in two passes: a vectorized phase 1 computing
+///   cur[j] = min(prev[j-1] + dist(a_i, b_j), prev[j] + ga)
+/// through ops.eged_row (per-lane arithmetic in the scalar order, so phase-1
+/// values are bitwise identical to the scalar candidates), then a scalar
+/// phase 2 folding the loop-carried horizontal deletion
+///   cur[j] = min(cur[j], cur[j-1] + bgap[j-1]).
+/// min-reassociation is value-exact, so every in-band cell matches the
+/// scalar min3 bitwise. The one divergence: the single-pass loop skips the
+/// point distance (writing +inf) when all three candidates already exceed
+/// tau, while the two-pass form computes every in-band cell. Affected cells
+/// are > tau either way, so they are never `note`d — the band evolution,
+/// abandon decisions, and every value the next row reads (indices [pb, pe],
+/// all <= tau) stay identical, and so does the result.
+///
 /// When a row ends with no cell <= tau, or the final cell falls outside the
 /// last band, every path to (m, n) costs more than tau: the DP abandons and
 /// returns nextafter(tau) — the smallest value that is both > tau and <= d
 /// for any true distance d > tau.
-double BoundedDp(const FlatSequence& a, const FlatSequence& b, double tau,
-                 EgedWorkspace* ws, bool* abandoned) {
+double BandedDp(const FlatSequence& a, const FlatSequence& b, double tau,
+                EgedWorkspace* ws, bool* abandoned,
+                const simd::KernelOps& ops) {
   const size_t m = a.size(), n = b.size();
   const double* agap = a.gap_costs();
   const double* bgap = b.gap_costs();
   const double* av = a.points();
   const double* bv = b.points();
+  const double* bt = b.transposed();
+  const size_t bstride = b.t_stride();
+  const bool vector_rows = ops.tier != simd::Tier::kScalar;
   constexpr double kInf = std::numeric_limits<double>::infinity();
+  // Narrower rows are not worth the two-pass overhead (vector ramp-up plus
+  // a second sweep); both forms give identical results.
+  constexpr size_t kMinVecWidth = 12;
 
   double* prev = nullptr;
   double* cur = nullptr;
@@ -189,32 +211,46 @@ double BoundedDp(const FlatSequence& a, const FlatSequence& b, double tau,
       j = pb + 1;
     }
     // In-band phase: all three predecessors lie inside the previous band.
-    // Interior band cells can still individually exceed tau; when every
-    // candidate already does, the cell can never re-enter the band — its
-    // value is only ever read as "+inf by a successor", so the point
-    // distance (and its sqrt) is skipped outright.
-    for (; j <= pe; ++j) {
-      const double diag = prev[j - 1];
-      const double del_a = prev[j] + ga_i;
-      const double del_b = left + bgap[j - 1];
-      if (diag > tau && del_a > tau && del_b > tau) {
-        cur[j] = kInf;
-        left = kInf;
-        continue;
+    if (vector_rows && j <= pe && pe - j + 1 >= kMinVecWidth) {
+      // Phase 1 (vectorized), in place: cur[j] = min(subst, vertical).
+      ops.eged_row(ai, bt, bstride, prev, ga_i, j, pe, cur);
+      // Phase 2 (scalar): fold the horizontal chain.
+      for (; j <= pe; ++j) {
+        double v = cur[j];
+        const double del_b = left + bgap[j - 1];
+        if (del_b < v) v = del_b;
+        cur[j] = v;
+        left = v;
+        note(v);
       }
-      const double* bj = bv + (j - 1) * FlatSequence::kStride;
-      double s = 0.0;
-      for (size_t k = 0; k < kFeatureDim; ++k) {
-        const double dk = ai[k] - bj[k];
-        s += dk * dk;
+    } else {
+      // Interior band cells can still individually exceed tau; when every
+      // candidate already does, the cell can never re-enter the band — its
+      // value is only ever read as "+inf by a successor", so the point
+      // distance (and its sqrt) is skipped outright.
+      for (; j <= pe; ++j) {
+        const double diag = prev[j - 1];
+        const double del_a = prev[j] + ga_i;
+        const double del_b = left + bgap[j - 1];
+        if (diag > tau && del_a > tau && del_b > tau) {
+          cur[j] = kInf;
+          left = kInf;
+          continue;
+        }
+        const double* bj = bv + (j - 1) * FlatSequence::kStride;
+        double s = 0.0;
+        for (size_t k = 0; k < kFeatureDim; ++k) {
+          const double dk = ai[k] - bj[k];
+          s += dk * dk;
+        }
+        const double subst = diag + std::sqrt(s);
+        double v = subst;
+        if (del_a < v) v = del_a;
+        if (del_b < v) v = del_b;
+        cur[j] = v;
+        left = v;
+        note(v);
       }
-      const double subst = diag + std::sqrt(s);
-      double v = subst;
-      if (del_a < v) v = del_a;
-      if (del_b < v) v = del_b;
-      cur[j] = v;
-      left = v;
-      note(v);
     }
     // Boundary column pe + 1: the vertical candidate (prev[pe+1]) is
     // outside the band, so the cell is min(subst, horizontal).
@@ -258,173 +294,27 @@ double BoundedDp(const FlatSequence& a, const FlatSequence& b, double tau,
   return std::nextafter(tau, kInf);
 }
 
-/// Vector-tier twin of BoundedDp. Same band bookkeeping, but each row's
-/// in-band region runs in two passes: a vectorized phase 1 computing
-///   cur[j] = min(prev[j-1] + dist(a_i, b_j), prev[j] + ga)
-/// through ops.eged_row (per-lane arithmetic in the scalar order, so phase-1
-/// values are bitwise identical to the scalar candidates), then a scalar
-/// phase 2 folding the loop-carried horizontal deletion
-///   cur[j] = min(cur[j], cur[j-1] + bgap[j-1]).
-/// min-reassociation is value-exact, so every in-band cell matches the
-/// scalar min3 bitwise.
-///
-/// The one intentional divergence: the scalar loop skips the point distance
-/// (writing +inf) when all three candidates already exceed tau, while the
-/// vector path computes every in-band cell. Affected cells are > tau under
-/// both schemes, so they are never `note`d — the band evolution, abandon
-/// decisions, and every value the next row actually reads (indices
-/// [pb, pe], all <= tau) stay identical, and so does the result.
-double BoundedDpVec(const FlatSequence& a, const FlatSequence& b, double tau,
-                    EgedWorkspace* ws, bool* abandoned,
-                    const simd::KernelOps& ops) {
-  const size_t m = a.size(), n = b.size();
-  const double* agap = a.gap_costs();
-  const double* bgap = b.gap_costs();
-  const double* av = a.points();
-  const double* bv = b.points();
-  const double* bt = b.transposed();
-  const size_t bstride = b.t_stride();
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-
-  double* prev = nullptr;
-  double* cur = nullptr;
-  ws->Rows(n + 1, &prev, &cur);
-
-  prev[0] = 0.0;
-  size_t pb = 0, pe = n;
-  for (size_t j = 1; j <= n; ++j) {
-    prev[j] = prev[j - 1] + bgap[j - 1];
-    if (prev[j] > tau) {
-      pe = j - 1;
-      break;
-    }
-  }
-
-  for (size_t i = 1; i <= m; ++i) {
-    const double ga_i = agap[i - 1];
-    const double* ai = av + (i - 1) * FlatSequence::kStride;
-    size_t cb = n + 1;
-    size_t ce = 0;
-    double left;
-    size_t j;
-    auto note = [&](double v) {
-      if (v <= tau) {
-        if (cb > j) cb = j;
-        ce = j;
-      }
-    };
-    if (pb == 0) {
-      left = prev[0] + ga_i;
-      cur[0] = left;
-      j = 0;
-      note(left);
-      j = 1;
-    } else {
-      j = pb;
-      left = prev[pb] + ga_i;
-      cur[pb] = left;
-      note(left);
-      j = pb + 1;
-    }
-    // Narrow rows are not worth the two-pass overhead (vector ramp-up plus
-    // a second sweep): run the scalar single-pass body — including its
-    // >tau cell-skip — below the width threshold. Both bodies produce
-    // identical band evolution and identical noted values, so the adaptive
-    // choice is invisible in the results.
-    constexpr size_t kMinVecWidth = 12;
-    if (j <= pe && pe - j + 1 >= kMinVecWidth) {
-      // Phase 1 (vectorized), in place: cur[j] = min(subst, vertical).
-      ops.eged_row(ai, bt, bstride, prev, ga_i, j, pe, cur);
-      // Phase 2 (scalar): fold the horizontal chain.
-      for (; j <= pe; ++j) {
-        double v = cur[j];
-        const double del_b = left + bgap[j - 1];
-        if (del_b < v) v = del_b;
-        cur[j] = v;
-        left = v;
-        note(v);
-      }
-    } else {
-      for (; j <= pe; ++j) {
-        const double diag = prev[j - 1];
-        const double del_a = prev[j] + ga_i;
-        const double del_b = left + bgap[j - 1];
-        if (diag > tau && del_a > tau && del_b > tau) {
-          cur[j] = kInf;
-          left = kInf;
-          continue;
-        }
-        const double* bj = bv + (j - 1) * FlatSequence::kStride;
-        double s = 0.0;
-        for (size_t k = 0; k < kFeatureDim; ++k) {
-          const double dk = ai[k] - bj[k];
-          s += dk * dk;
-        }
-        const double subst = diag + std::sqrt(s);
-        double v = subst;
-        if (del_a < v) v = del_a;
-        if (del_b < v) v = del_b;
-        cur[j] = v;
-        left = v;
-        note(v);
-      }
-    }
-    if (j == pe + 1 && j <= n) {
-      const double* bj = bv + (j - 1) * FlatSequence::kStride;
-      double s = 0.0;
-      for (size_t k = 0; k < kFeatureDim; ++k) {
-        const double dk = ai[k] - bj[k];
-        s += dk * dk;
-      }
-      const double subst = prev[j - 1] + std::sqrt(s);
-      const double del_b = left + bgap[j - 1];
-      double v = subst < del_b ? subst : del_b;
-      cur[j] = v;
-      left = v;
-      note(v);
-      ++j;
-      for (; j <= n && left <= tau; ++j) {
-        left += bgap[j - 1];
-        cur[j] = left;
-        note(left);
-      }
-    }
-    if (cb > n) {
-      *abandoned = true;
-      return std::nextafter(tau, kInf);
-    }
-    pb = cb;
-    pe = ce;
-    std::swap(prev, cur);
-  }
-  if (pe == n) {
-    *abandoned = false;
-    return prev[n];
-  }
-  *abandoned = true;
-  return std::nextafter(tau, kInf);
-}
-
-/// Wavefront twin of BoundedDp for the wide-band regime. Sweeps the DP
-/// matrix by anti-diagonals: every cell of one diagonal depends only on the
-/// previous two diagonals, so the eged_diag kernel evaluates whole cells —
-/// distance, sqrt, and the three-way min — with NO loop-carried chain (the
+/// Wavefront alternative to BandedDp for the wide-band regime. Sweeps the
+/// DP matrix by anti-diagonals: every cell of one diagonal depends only on
+/// the previous two diagonals, so the eged_diag kernel evaluates whole cells
+/// — distance, sqrt, and the three-way min — with NO loop-carried chain (the
 /// chain that limits the row-split form to the latency of one add+min per
 /// column). Each cell's expression tree is exactly the reference one, so
 /// every cell value — evaluation order notwithstanding — is bitwise
 /// identical to the full reference DP, and the final corner IS the exact
 /// distance d.
 ///
-/// Bounded-contract harmonization with BoundedDp: the scalar twin returns
+/// Bounded-contract harmonization with BandedDp: the banded body returns
 /// the exact d whenever d <= tau (the corner is then computed exactly and
 /// noted) and nextafter(tau) whenever d > tau (every computed cell is >=
 /// its true value, so the corner can never be noted). Returning
-/// d <= tau ? d : nextafter(tau) here therefore matches BoundedDp bitwise —
+/// d <= tau ? d : nextafter(tau) here therefore matches BandedDp bitwise —
 /// including the abandoned flag and hence the stats — at every tau.
 double BoundedDpWavefront(const FlatSequence& a, const FlatSequence& b,
                           double tau, EgedWorkspace* ws, bool* abandoned,
-                          const simd::KernelOps& ops,
-                          const ReversedQuery& ra) {
+                          const simd::KernelOps& ops) {
+  ReversedQuery& ra = ws->ReversedScratch();
+  ra.Assign(a);
   const size_t m = a.size(), n = b.size();
   const double* agap = a.gap_costs();
   const double* bgap = b.gap_costs();
@@ -496,27 +386,17 @@ inline bool WavefrontProfitable(const FlatSequence& a, const FlatSequence& b,
   return a.gap_mass() <= tau && b.gap_mass() <= tau;
 }
 
-/// Routes one bounded DP through the active tier's kernel. The scalar tier
-/// keeps the original single-pass loop (its >tau cell-skip saves sqrts that
-/// the two-pass form cannot); vector tiers take the chain-free wavefront in
-/// the wide-band regime and the banded two-pass twin otherwise. All three
-/// produce bitwise-identical results at every tau, so routing is purely a
-/// speed decision.
+/// Routes one bounded DP: vector tiers take the chain-free wavefront in the
+/// wide-band regime, everything else runs the banded body. Both produce
+/// bitwise-identical results at every tau, so routing is purely a speed
+/// decision.
 inline double BoundedDpDispatch(const FlatSequence& a, const FlatSequence& b,
                                 double tau, EgedWorkspace* ws,
-                                bool* abandoned, const simd::KernelOps& ops,
-                                const ReversedQuery* rev = nullptr) {
-  if (ops.tier == simd::Tier::kScalar) {
-    return BoundedDp(a, b, tau, ws, abandoned);
+                                bool* abandoned, const simd::KernelOps& ops) {
+  if (ops.tier != simd::Tier::kScalar && WavefrontProfitable(a, b, tau)) {
+    return BoundedDpWavefront(a, b, tau, ws, abandoned, ops);
   }
-  if (WavefrontProfitable(a, b, tau)) {
-    if (rev == nullptr) {
-      ws->ReversedScratch().Assign(a);
-      rev = &ws->ReversedScratch();
-    }
-    return BoundedDpWavefront(a, b, tau, ws, abandoned, ops, *rev);
-  }
-  return BoundedDpVec(a, b, tau, ws, abandoned, ops);
+  return BandedDp(a, b, tau, ws, abandoned, ops);
 }
 
 }  // namespace
@@ -550,74 +430,6 @@ double EgedMetricBounded(const FlatSequence& a, const FlatSequence& b,
       BoundedDpDispatch(a, b, tau, ws, &abandoned, simd::ActiveOps());
   if (abandoned && stats != nullptr) ++stats->early_abandons;
   return v;
-}
-
-void EgedBatchBounded(const FlatSequence& query,
-                      const FlatSequence* const* candidates,
-                      const double* taus, size_t n, double* out,
-                      EgedWorkspace* ws, EgedKernelStats* stats) {
-  // The dispatch table and the query's flat rows are resolved/touched once;
-  // each iteration is then the exact EgedMetricBounded body, so values and
-  // stats match the one-at-a-time path bitwise. The reversed-query mirror
-  // the wavefront route needs is likewise built once for the whole batch.
-  const simd::KernelOps& ops = simd::ActiveOps();
-  constexpr double kInfinity = std::numeric_limits<double>::infinity();
-  const ReversedQuery* rev = nullptr;
-  if (ops.tier != simd::Tier::kScalar && !query.empty()) {
-    ws->ReversedScratch().Assign(query);
-    rev = &ws->ReversedScratch();
-  }
-  for (size_t i = 0; i < n; ++i) {
-    const FlatSequence& b = *candidates[i];
-    const double tau = taus[i];
-    if (query.empty() || b.empty()) {
-      if (stats != nullptr) ++stats->dp_evals;
-      out[i] = query.empty() ? b.gap_mass() : query.gap_mass();
-      continue;
-    }
-    if (tau < kInfinity) {
-      const double lb = EgedLowerBound(query, b);
-      if (lb > tau) {
-        if (stats != nullptr) ++stats->lb_prunes;
-        out[i] = lb;
-        continue;
-      }
-    }
-    if (stats != nullptr) ++stats->dp_evals;
-    bool abandoned = false;
-    out[i] = BoundedDpDispatch(query, b, tau, ws, &abandoned, ops, rev);
-    if (abandoned && stats != nullptr) ++stats->early_abandons;
-  }
-}
-
-void EgedLowerBoundBatch(const FlatSequence& query,
-                         const FlatSequence* const* candidates, size_t n,
-                         double* out) {
-  // Query-side terms hoisted; per candidate the operations replicate
-  // EgedLowerBound in the same order, so out[i] matches it bitwise.
-  const double q_mass = query.gap_mass();
-  const bool q_empty = query.empty();
-  const FeatureVec& q_front = query.front();
-  const FeatureVec& q_back = query.back();
-  const double q_gap_first = q_empty ? 0.0 : query.gap_cost(0);
-  const double q_gap_last = q_empty ? 0.0 : query.gap_cost(query.size() - 1);
-  const bool q_long = query.size() >= 2;
-  for (size_t i = 0; i < n; ++i) {
-    const FlatSequence& b = *candidates[i];
-    double lb = std::fabs(q_mass - b.gap_mass());
-    if (!q_empty && !b.empty()) {
-      const double first =
-          Min3(PointDistance(q_front, b.front()), q_gap_first, b.gap_cost(0));
-      double endpoint = first;
-      if (q_long || b.size() >= 2) {
-        const double last = Min3(PointDistance(q_back, b.back()), q_gap_last,
-                                 b.gap_cost(b.size() - 1));
-        endpoint = first + last;
-      }
-      lb = std::max(lb, endpoint);
-    }
-    out[i] = Shave(lb);
-  }
 }
 
 double EgedMetricFast(const Sequence& a, const Sequence& b,

@@ -63,12 +63,12 @@ class FlatSequence {
   FeatureVec back_{};
 };
 
-/// Reversed dim-major mirror of a query sequence, built once per query (or
-/// per batch) for the wavefront DP: row k column c holds coordinate k of
-/// point size-1-c, and gaps()[c] is that point's gap cost. Reversing the
-/// QUERY side is what makes both operand streams of an anti-diagonal load
-/// contiguously ascending (the b side ascends in j, the a side descends —
-/// which is ascending in the reversed mirror).
+/// Reversed dim-major mirror of a query sequence, built per call of the
+/// wavefront DP: row k column c holds coordinate k of point size-1-c, and
+/// gaps()[c] is that point's gap cost. Reversing the QUERY side is what
+/// makes both operand streams of an anti-diagonal load contiguously
+/// ascending (the b side ascends in j, the a side descends — which is
+/// ascending in the reversed mirror).
 class ReversedQuery {
  public:
   void Assign(const FlatSequence& a);
@@ -99,17 +99,14 @@ class EgedWorkspace {
     *cur = row1_.data();
   }
 
-  /// Rows plus the phase-1 staging buffer the vector DP uses for
-  /// t[j] = min(diag + dist, vertical) before the scalar horizontal fold.
-  /// The wavefront DP reuses the same three buffers as its rolling
-  /// anti-diagonals.
+  /// Rows plus a third buffer: the wavefront DP's three rolling
+  /// anti-diagonals (DTW uses the third as its cost row).
   void Rows3(size_t cols, double** prev, double** cur, double** stage) {
     Rows(cols, prev, cur);
     *stage = row2_.data();
   }
 
-  /// Per-workspace reversed-query scratch for the wavefront DP (built
-  /// lazily by single-shot calls; batch callers assign it once up front).
+  /// Per-workspace reversed-query scratch for the wavefront DP.
   ReversedQuery& ReversedScratch() { return rev_; }
 
  private:
@@ -162,25 +159,6 @@ double EgedMetricFlat(const FlatSequence& a, const FlatSequence& b,
 double EgedMetricBounded(const FlatSequence& a, const FlatSequence& b,
                          double tau, EgedWorkspace* ws,
                          EgedKernelStats* stats = nullptr);
-
-/// Batched one-query-vs-many-candidates bounded kernel. For each i,
-/// out[i] is bitwise identical — and `stats` accrues identically — to
-/// EgedMetricBounded(query, *candidates[i], taus[i], ws, stats); the win is
-/// amortization: the query's rows/gap-costs stay hot in cache and the
-/// dispatch/workspace lookups happen once. Allocation-free after the
-/// workspace high-water mark (proven by bench_distance's operator-new
-/// harness).
-void EgedBatchBounded(const FlatSequence& query,
-                      const FlatSequence* const* candidates,
-                      const double* taus, size_t n, double* out,
-                      EgedWorkspace* ws, EgedKernelStats* stats = nullptr);
-
-/// Batched lower-bound cascade: out[i] is bitwise identical to
-/// EgedLowerBound(query, *candidates[i]), with the query-side terms hoisted
-/// out of the loop (the k-NN cluster-queue seeding path).
-void EgedLowerBoundBatch(const FlatSequence& query,
-                         const FlatSequence* const* candidates, size_t n,
-                         double* out);
 
 /// Sequence-interface conveniences: flatten into thread-local scratch and
 /// run the flat kernels. Exact-same values as EgedMetric(a, b, g), without

@@ -62,9 +62,7 @@ constexpr size_t kIdBytes = sizeof(int);
 /// so concurrent queries report exact values; the aggregate atomic receives
 /// one fetch_add of `stats.dp_evals` when the query finishes.
 struct StrgIndex::SearchCtx {
-  const dist::Sequence* query_seq = nullptr;  ///< for the reference kernel
-  dist::FlatSequence query_flat;              ///< for the fast kernel
-  bool use_fast = true;
+  dist::FlatSequence query_flat;
   size_t budget = std::numeric_limits<size_t>::max();  ///< max DP evals
   /// Seed pruning radius: the heap's "worst" before it holds k hits.
   /// +inf = unbounded (the single-index behavior); finite = a sharded
@@ -149,20 +147,10 @@ double StrgIndex::SearchMetricLeaf(SearchCtx* ctx, const LeafEntry& entry,
     // Paged: fetch + decode + re-flatten on demand. Deterministic decode
     // (fixed-width doubles), so the distance is bit-identical to the
     // in-RAM entry's.
-    dist::Sequence seq = FetchSequence(entry);
-    if (!ctx->use_fast) {
-      ++ctx->stats.dp_evals;
-      return dist::EgedMetric(*ctx->query_seq, seq, params_.metric_gap);
-    }
-    dist::FlatSequence flat(seq, params_.metric_gap);
+    dist::FlatSequence flat(FetchSequence(entry), params_.metric_gap);
     return dist::EgedMetricBounded(ctx->query_flat, flat, tau,
                                    &dist::ThreadLocalEgedWorkspace(),
                                    &ctx->stats);
-  }
-  if (!ctx->use_fast) {
-    ++ctx->stats.dp_evals;
-    return dist::EgedMetric(*ctx->query_seq, entry.sequence,
-                            params_.metric_gap);
   }
   return dist::EgedMetricBounded(ctx->query_flat, entry.flat, tau,
                                  &dist::ThreadLocalEgedWorkspace(),
@@ -172,11 +160,6 @@ double StrgIndex::SearchMetricLeaf(SearchCtx* ctx, const LeafEntry& entry,
 double StrgIndex::SearchMetricCentroid(SearchCtx* ctx,
                                        const ClusterRecord& cluster,
                                        double tau) const {
-  if (!ctx->use_fast) {
-    ++ctx->stats.dp_evals;
-    return dist::EgedMetric(*ctx->query_seq, cluster.centroid,
-                            params_.metric_gap);
-  }
   return dist::EgedMetricBounded(ctx->query_flat, cluster.centroid_flat, tau,
                                  &dist::ThreadLocalEgedWorkspace(),
                                  &ctx->stats);
@@ -530,8 +513,7 @@ void StrgIndex::SearchClusters(const RootRecord& root, SearchCtx* ctx,
   auto open_cluster = [&](size_t c) {
     const ClusterRecord& cluster = root.clusters[c];
     const double w = worst();
-    const double tau_c =
-        ctx->use_fast && w < kInf ? w + cluster.covering_radius : kInf;
+    const double tau_c = w < kInf ? w + cluster.covering_radius : kInf;
     double key_q = SearchMetricCentroid(ctx, cluster, tau_c);
     if (key_q > tau_c) return kInf;
     Frontier& f = frontiers[c];
@@ -554,34 +536,18 @@ void StrgIndex::SearchClusters(const RootRecord& root, SearchCtx* ctx,
   using Queued = std::pair<double, size_t>;  // (lower bound, cluster)
   std::priority_queue<Queued, std::vector<Queued>, std::greater<>> queue;
 
-  if (ctx->use_fast) {
-    // Clusters enter the queue unopened, keyed by a member-distance lower
-    // bound that needs no DP at all: d(q, e) >= d(q, centroid) - cov >=
-    // LB(q, centroid) - cov. The centroid DP is deferred until the cluster
-    // reaches the head of the queue — by which point worst is usually tight
-    // enough that far clusters are popped, compared, and dropped with zero
-    // distance work. The cascade runs as one batched sweep over all
-    // centroid flats (query-side terms hoisted), bit-identical to the
-    // per-cluster calls it replaced.
-    const size_t nc = root.clusters.size();
-    std::vector<const dist::FlatSequence*> cents(nc);
-    std::vector<double> lbs(nc);
-    for (size_t c = 0; c < nc; ++c) {
-      cents[c] = &root.clusters[c].centroid_flat;
-    }
-    dist::EgedLowerBoundBatch(ctx->query_flat, cents.data(), nc, lbs.data());
-    for (size_t c = 0; c < nc; ++c) {
-      const double lb = lbs[c] - root.clusters[c].covering_radius;
-      queue.push({std::max(lb, 0.0), c});
-    }
-  } else {
-    // Reference path: eager centroid evaluation in index order — the
-    // pre-optimization behavior, preserved for A/B comparison.
-    for (size_t c = 0; c < root.clusters.size(); ++c) {
-      if (ctx->Exhausted()) return;
-      double lb = open_cluster(c);
-      if (lb != kInf) queue.push({lb, c});
-    }
+  // Clusters enter the queue unopened, keyed by a member-distance lower
+  // bound that needs no DP at all: d(q, e) >= d(q, centroid) - cov >=
+  // LB(q, centroid) - cov. The centroid DP is deferred until the cluster
+  // reaches the head of the queue — by which point worst is usually tight
+  // enough that far clusters are popped, compared, and dropped with zero
+  // distance work.
+  for (size_t c = 0; c < root.clusters.size(); ++c) {
+    const ClusterRecord& cluster = root.clusters[c];
+    const double lb = dist::EgedLowerBound(ctx->query_flat,
+                                           cluster.centroid_flat) -
+                      cluster.covering_radius;
+    queue.push({std::max(lb, 0.0), c});
   }
 
   while (!queue.empty()) {
@@ -652,9 +618,7 @@ KnnResult StrgIndex::Knn(const dist::Sequence& query, size_t k,
   if (k == 0 || roots_.empty()) return result;
 
   SearchCtx ctx;
-  ctx.query_seq = &query;
-  ctx.use_fast = params_.use_fast_kernel;
-  if (ctx.use_fast) ctx.query_flat.Assign(query, params_.metric_gap);
+  ctx.query_flat.Assign(query, params_.metric_gap);
   if (max_distance_computations != 0) ctx.budget = max_distance_computations;
   ctx.tau0 = initial_tau;
 
@@ -692,16 +656,7 @@ KnnResult StrgIndex::RangeSearch(const dist::Sequence& query, double radius,
   if (roots_.empty() || radius < 0.0) return result;
 
   SearchCtx ctx;
-  ctx.query_seq = &query;
-  ctx.use_fast = params_.use_fast_kernel;
-  if (ctx.use_fast) ctx.query_flat.Assign(query, params_.metric_gap);
-
-  // Batch scratch for the fast path, hoisted so per-cluster bands reuse
-  // capacity across the scan.
-  std::vector<const dist::FlatSequence*> cands;
-  std::vector<const LeafEntry*> band;
-  std::vector<dist::FlatSequence> paged_flats;
-  std::vector<double> taus, dists;
+  ctx.query_flat.Assign(query, params_.metric_gap);
 
   auto search_root = [&](const RootRecord& root) {
     for (const ClusterRecord& cluster : root.clusters) {
@@ -709,52 +664,17 @@ KnnResult StrgIndex::RangeSearch(const dist::Sequence& query, double radius,
       // band misses: d(q, e) >= key_q - covering_radius. The centroid
       // evaluation is bounded by that same test, so hopeless clusters are
       // skipped from a lower bound alone.
-      const double tau_c =
-          ctx.use_fast ? radius + cluster.covering_radius : kInf;
-      double key_q = SearchMetricCentroid(&ctx, cluster, tau_c);
+      double key_q = SearchMetricCentroid(&ctx, cluster,
+                                          radius + cluster.covering_radius);
       if (key_q - cluster.covering_radius > radius) continue;
       const auto& leaf = cluster.leaf;
       auto lo = std::lower_bound(
           leaf.begin(), leaf.end(), key_q - radius,
           [](const LeafEntry& e, double v) { return e.key < v; });
-      if (!ctx.use_fast) {
-        for (auto it = lo; it != leaf.end() && it->key <= key_q + radius;
-             ++it) {
-          double d = SearchMetricLeaf(&ctx, *it, radius);
-          if (d <= radius) result.hits.push_back({it->og_id, d});
-        }
-        continue;
-      }
-      // Fast path: the whole key band goes through the batched bounded
-      // kernel in one call (uniform tau = radius), identical per-candidate
-      // arithmetic and stats to the former entry-at-a-time loop. Paged
-      // entries are fetched and re-flattened up front; the reserve keeps
-      // their flats stable while candidate pointers accumulate.
-      band.clear();
       for (auto it = lo; it != leaf.end() && it->key <= key_q + radius;
            ++it) {
-        band.push_back(&*it);
-      }
-      cands.clear();
-      paged_flats.clear();
-      paged_flats.reserve(band.size());
-      for (const LeafEntry* e : band) {
-        if (e->record != kNoLeafRecord) {
-          paged_flats.emplace_back(FetchSequence(*e), params_.metric_gap);
-          cands.push_back(&paged_flats.back());
-        } else {
-          cands.push_back(&e->flat);
-        }
-      }
-      taus.assign(band.size(), radius);
-      dists.resize(band.size());
-      dist::EgedBatchBounded(ctx.query_flat, cands.data(), taus.data(),
-                             band.size(), dists.data(),
-                             &dist::ThreadLocalEgedWorkspace(), &ctx.stats);
-      for (size_t i = 0; i < band.size(); ++i) {
-        if (dists[i] <= radius) {
-          result.hits.push_back({band[i]->og_id, dists[i]});
-        }
+        double d = SearchMetricLeaf(&ctx, *it, radius);
+        if (d <= radius) result.hits.push_back({it->og_id, d});
       }
     }
   };

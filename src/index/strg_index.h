@@ -50,15 +50,6 @@ struct StrgIndexParams {
   /// index order. Queries never borrow this pool implicitly.
   ThreadPool* pool = nullptr;
 
-  /// Query-path kernel selector. true (default) runs the flat bounded EGED
-  /// kernel (lower-bound cascade + early abandoning, eged_fast.h) on
-  /// Knn/RangeSearch; false runs the reference heap-allocating DP — kept as
-  /// an A/B knob so tests and bench_distance can pin the fast path to the
-  /// reference results and measure the speedup. Both return identical hits
-  /// and distances; build paths always use the (numerically identical) flat
-  /// exact kernel.
-  bool use_fast_kernel = true;
-
   /// Out-of-core leaf backing (not owned; nullptr = everything in RAM, the
   /// pre-pager behavior). When set, each leaf entry's OG sequence is
   /// serialized into this store at insert and only its record id + length
@@ -269,7 +260,7 @@ class StrgIndex {
   double MetricFlatBounded(const dist::FlatSequence& a,
                            const dist::FlatSequence& b, double tau) const;
 
-  /// Query-path evaluations: count into ctx, honor use_fast_kernel.
+  /// Query-path evaluations: bounded flat kernel, counted into ctx.
   double SearchMetricLeaf(SearchCtx* ctx, const LeafEntry& entry,
                           double tau) const;
   double SearchMetricCentroid(SearchCtx* ctx, const ClusterRecord& cluster,

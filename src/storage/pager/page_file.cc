@@ -143,8 +143,12 @@ api::Status PageFile::WritePage(uint32_t page_id, uint8_t type,
   frame[kTypeOff] = static_cast<char>(type);
   PutLe32(frame.data() + kNextOff, next_page);
   PutLe32(frame.data() + kLenOff, static_cast<uint32_t>(payload.size()));
-  std::memcpy(frame.data() + kPageHeaderBytes, payload.data(),
-              payload.size());
+  // An empty payload may carry a null data() (memcpy's source must not be
+  // null even for zero bytes).
+  if (!payload.empty()) {
+    std::memcpy(frame.data() + kPageHeaderBytes, payload.data(),
+                payload.size());
+  }
   PutLe32(frame.data() + kCrcOff,
           Crc32c(frame.data() + kTypeOff, page_size_ - kTypeOff));
   return WriteRaw(page_id, frame.data());

@@ -1,10 +1,13 @@
 // ctest-labels: distance
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -12,6 +15,8 @@
 #include "distance/eged_fast.h"
 #include "distance/simd/dispatch.h"
 #include "index/strg_index.h"
+#include "storage/pager/paged_record_store.h"
+#include "storage/pager/storage_params.h"
 #include "synth/generator.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -192,47 +197,105 @@ index::StrgIndexParams BaseParams() {
   return params;
 }
 
-TEST(DistanceKernel, FastAndReferenceQueryPathsAgreeBitForBit) {
+uint64_t Bits(double x) {
+  uint64_t b = 0;
+  std::memcpy(&b, &x, sizeof(b));
+  return b;
+}
+
+/// Hits in (distance, og_id) order, so equal-distance hits compare
+/// independently of the order a search happened to emit them in.
+std::vector<index::KnnHit> Canonical(std::vector<index::KnnHit> hits) {
+  std::sort(hits.begin(), hits.end(),
+            [](const index::KnnHit& a, const index::KnnHit& b) {
+              return a.distance != b.distance ? a.distance < b.distance
+                                              : a.og_id < b.og_id;
+            });
+  return hits;
+}
+
+void ExpectSameHits(const std::vector<index::KnnHit>& got,
+                    const std::vector<index::KnnHit>& want) {
+  std::vector<index::KnnHit> g = Canonical(got);
+  ASSERT_EQ(g.size(), want.size());
+  for (size_t i = 0; i < g.size(); ++i) {
+    EXPECT_EQ(g[i].og_id, want[i].og_id) << "rank " << i;
+    EXPECT_EQ(Bits(g[i].distance), Bits(want[i].distance)) << "rank " << i;
+  }
+}
+
+TEST(DistanceKernel, KnnAndRangeMatchBruteForceReferenceScan) {
+  // The oracle is an exhaustive scan of every indexed sequence with the
+  // reference (heap-allocating, unbanded) EgedMetric: the index's pruned,
+  // bounded search must return exactly its answers, bit for bit, at every
+  // dispatch tier and whether leaves live in RAM or in a paged store.
+  namespace simd = dist::simd;
   Workload w = MakeWorkload();
-  index::StrgIndexParams fast_params = BaseParams();
-  fast_params.use_fast_kernel = true;
-  index::StrgIndexParams ref_params = BaseParams();
-  ref_params.use_fast_kernel = false;
-
-  index::StrgIndex fast_idx(fast_params);
-  index::StrgIndex ref_idx(ref_params);
-  // Two segments so the multi-root scan (worst-of-k carried across roots)
-  // is exercised too.
   Workload w2 = MakeWorkload(91);
-  fast_idx.AddSegment(core::BackgroundGraph{}, w.db);
-  fast_idx.AddSegment(core::BackgroundGraph{}, w2.db);
-  ref_idx.AddSegment(core::BackgroundGraph{}, w.db);
-  ref_idx.AddSegment(core::BackgroundGraph{}, w2.db);
+  // Two segments (the multi-root scan carries worst-of-k across roots);
+  // the second segment's ids continue after the first's.
+  std::vector<size_t> ids2(w2.db.size());
+  for (size_t i = 0; i < ids2.size(); ++i) ids2[i] = w.db.size() + i;
+  std::vector<const Sequence*> indexed;
+  for (const Sequence& s : w.db) indexed.push_back(&s);
+  for (const Sequence& s : w2.db) indexed.push_back(&s);
 
+  std::string path = ::testing::TempDir() + "/oracle_tiny_cache.pages";
+  storage::StorageParams sp;
+  sp.paged = true;
+  sp.page_size = 256;
+  sp.cache_bytes = 256;  // one frame: every leaf fetch misses
+  sp.cache_shards = 1;
+  auto store = storage::PagedRecordStore::Create(path, sp).value();
+
+  index::StrgIndex ram_idx(BaseParams());
+  index::StrgIndexParams paged_params = BaseParams();
+  paged_params.paged_store = store.get();
+  index::StrgIndex paged_idx(paged_params);
+  for (index::StrgIndex* idx : {&ram_idx, &paged_idx}) {
+    idx->AddSegment(core::BackgroundGraph{}, w.db);
+    idx->AddSegment(core::BackgroundGraph{}, w2.db, ids2);
+    ASSERT_EQ(idx->NumIndexedOgs(), indexed.size());
+  }
+
+  constexpr size_t kK = 5;
+  const simd::Tier saved = simd::ActiveTier();
   for (const Sequence& q : w.queries) {
-    auto fast = fast_idx.Knn(q, 5);
-    auto ref = ref_idx.Knn(q, 5);
-    ASSERT_EQ(fast.hits.size(), ref.hits.size());
-    for (size_t i = 0; i < fast.hits.size(); ++i) {
-      EXPECT_EQ(fast.hits[i].og_id, ref.hits[i].og_id);
-      EXPECT_DOUBLE_EQ(fast.hits[i].distance, ref.hits[i].distance);
+    std::vector<index::KnnHit> all;
+    for (size_t id = 0; id < indexed.size(); ++id) {
+      all.push_back({id, EgedMetric(q, *indexed[id])});
     }
-    // The fast path must do no more DP work than the reference path, and
-    // the sweep as a whole must show the cascade firing.
-    EXPECT_LE(fast.distance_computations, ref.distance_computations);
-    EXPECT_EQ(ref.lb_prunes, 0u);
-    EXPECT_EQ(ref.early_abandons, 0u);
+    all = Canonical(all);
+    // A tie across the k-th place would make the kNN answer ambiguous.
+    ASSERT_LT(all[kK - 1].distance, all[kK].distance);
+    const std::vector<index::KnnHit> want_knn(all.begin(), all.begin() + kK);
+    // Two radii: exactly the k-th neighbor (boundary hit included) and a
+    // wider one that admits more than k.
+    const double radii[] = {all[kK - 1].distance, all[2 * kK].distance};
 
-    double radius = ref.hits.empty() ? 1.0 : ref.hits.back().distance;
-    auto fast_range = fast_idx.RangeSearch(q, radius);
-    auto ref_range = ref_idx.RangeSearch(q, radius);
-    ASSERT_EQ(fast_range.hits.size(), ref_range.hits.size());
-    for (size_t i = 0; i < fast_range.hits.size(); ++i) {
-      EXPECT_EQ(fast_range.hits[i].og_id, ref_range.hits[i].og_id);
-      EXPECT_DOUBLE_EQ(fast_range.hits[i].distance,
-                       ref_range.hits[i].distance);
+    for (simd::Tier tier : {simd::Tier::kScalar, simd::DetectedTier()}) {
+      ASSERT_TRUE(simd::ForceTier(tier));
+      for (const index::StrgIndex* idx : {&ram_idx, &paged_idx}) {
+        SCOPED_TRACE(std::string(simd::TierName(tier)) +
+                     (idx == &ram_idx ? " ram" : " paged"));
+        auto knn = idx->Knn(q, kK);
+        ExpectSameHits(knn.hits, want_knn);
+        EXPECT_LE(knn.distance_computations, indexed.size());
+        for (double radius : radii) {
+          std::vector<index::KnnHit> want_range;
+          for (const index::KnnHit& h : all) {
+            if (h.distance <= radius) want_range.push_back(h);
+          }
+          auto range = idx->RangeSearch(q, radius);
+          ExpectSameHits(range.hits, want_range);
+          EXPECT_LE(range.distance_computations, indexed.size());
+        }
+      }
     }
   }
+  simd::ForceTier(saved);
+  store.reset();
+  std::remove(path.c_str());
 }
 
 TEST(DistanceKernel, QueryResultsAreBitwiseInvariantUnderForcedScalarTier) {
@@ -241,9 +304,7 @@ TEST(DistanceKernel, QueryResultsAreBitwiseInvariantUnderForcedScalarTier) {
   // every pruning counter exactly (the cascade routes identically).
   namespace simd = dist::simd;
   Workload w = MakeWorkload();
-  index::StrgIndexParams params = BaseParams();
-  params.use_fast_kernel = true;
-  index::StrgIndex idx(params);
+  index::StrgIndex idx(BaseParams());
   idx.AddSegment(core::BackgroundGraph{}, w.db);
 
   const simd::Tier saved = simd::ActiveTier();

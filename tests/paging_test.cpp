@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -71,6 +72,26 @@ TEST(PageFile, CreateWriteReadReopen) {
   EXPECT_EQ(view.type, PageFile::kDataPage);
   EXPECT_EQ(view.next_page, 7u);
   EXPECT_EQ(view.payload, "paged bytes");
+  std::remove(path.c_str());
+}
+
+TEST(PageFile, EmptyPayloadRoundTrips) {
+  std::string path = TempPath("pf_empty.pages");
+  auto file = PageFile::Create(path, 128).value();
+  uint32_t p = file->Allocate().value();
+  ASSERT_TRUE(file->WritePage(p, PageFile::kDataPage, PageFile::kNoPage,
+                              std::string_view()).ok());
+  ASSERT_TRUE(file->Sync().ok());
+  file.reset();
+
+  // The page reads back CRC-valid (ReadPage verifies it) with length 0.
+  auto back = PageFile::Open(path).value();
+  PageFile::PageView view;
+  view.payload = "stale";
+  ASSERT_TRUE(back->ReadPage(p, &view).ok());
+  EXPECT_EQ(view.type, PageFile::kDataPage);
+  EXPECT_EQ(view.next_page, PageFile::kNoPage);
+  EXPECT_TRUE(view.payload.empty());
   std::remove(path.c_str());
 }
 

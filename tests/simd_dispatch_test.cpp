@@ -32,9 +32,6 @@ namespace simd = dist::simd;
 using dist::Dtw;
 using dist::Edr;
 using dist::EgedKernelStats;
-using dist::EgedLowerBound;
-using dist::EgedLowerBoundBatch;
-using dist::EgedBatchBounded;
 using dist::EgedMetric;
 using dist::EgedMetricBounded;
 using dist::EgedMetricFlat;
@@ -222,13 +219,13 @@ TEST(SimdDispatch, ReversedQueryMirrorsTheFlatFormBackToFront) {
 
 // ---------------------------------------------------------------------------
 // The equivalence matrix proper: EGED exact, EGED bounded (values AND
-// stats), the batch forms, and the DTW/EDR/Lp baselines.
+// stats), and the DTW/EDR/Lp baselines.
 // ---------------------------------------------------------------------------
 
 TEST(SimdDispatch, ExactEgedIsBitwiseIdenticalAcrossTiers) {
   // tau = inf routes vector tiers through the wavefront DP on everything
   // with length >= 4, so this is the wavefront's primary bit-identity test;
-  // shorter inputs cover the banded twin's narrow-row fallback.
+  // shorter inputs cover the banded body's narrow-row path.
   Rng rng(104);
   EgedWorkspace ws;
   for (int trial = 0; trial < 120; ++trial) {
@@ -260,10 +257,7 @@ TEST(SimdDispatch, BoundedEgedMatchesScalarBitwiseIncludingStats) {
   // to be a pure speed decision, invisible in every observable.
   Rng rng(105);
   EgedWorkspace ws;
-  for (int trial = 0; trial < 200; ++trial) {
-    FeatureVec g = RandomGap(&rng);
-    Sequence a = RandomSequence(&rng, 0, 48);
-    Sequence b = RandomSequence(&rng, 0, 48);
+  auto check = [&](const Sequence& a, const Sequence& b, const FeatureVec& g) {
     const double exact = EgedMetric(a, b, g);
     const double taus[] = {0.0,         exact * 0.25, exact * 0.9,
                            exact,       exact * 1.5,  kInf};
@@ -281,52 +275,28 @@ TEST(SimdDispatch, BoundedEgedMatchesScalarBitwiseIncludingStats) {
         best = EgedMetricBounded(fa, fb, tau, &ws, &best_stats);
       }
       ExpectBitEq(best, ref, "bounded EGED across tiers");
+      if (tau >= exact) ExpectBitEq(ref, exact, "bounded EGED below tau");
       EXPECT_EQ(best_stats.dp_evals, ref_stats.dp_evals);
       EXPECT_EQ(best_stats.lb_prunes, ref_stats.lb_prunes);
       EXPECT_EQ(best_stats.early_abandons, ref_stats.early_abandons);
     }
+  };
+  for (int trial = 0; trial < 200; ++trial) {
+    FeatureVec g = RandomGap(&rng);
+    Sequence a = RandomSequence(&rng, 0, 48);
+    Sequence b = RandomSequence(&rng, 0, 48);
+    check(a, b, g);
   }
-}
-
-TEST(SimdDispatch, BatchedKernelsMatchIndividualCallsBitwise) {
-  Rng rng(106);
+  // Empty and length-1 operands on either side: the empty-input guard and
+  // the single-row / single-column DP shapes.
   FeatureVec g = RandomGap(&rng);
-  EgedWorkspace ws;
-  Sequence q = RandomSequence(&rng, 12, 40);
-  FlatSequence fq(q, g);
-  std::vector<FlatSequence> cands;
-  for (int i = 0; i < 40; ++i) {
-    // Include empty and length-1 candidates so the batch's guard paths run.
-    size_t min_len = i % 7 == 0 ? 0 : 1;
-    cands.emplace_back(RandomSequence(&rng, min_len, 40), g);
-  }
-  std::vector<const FlatSequence*> ptrs;
-  std::vector<double> taus;
-  for (size_t i = 0; i < cands.size(); ++i) {
-    ptrs.push_back(&cands[i]);
-    double exact = EgedMetricFlat(fq, cands[i], &ws);
-    taus.push_back(i % 2 == 0 ? exact * 0.6 : exact * 1.1);
-  }
-  for (simd::Tier tier : {simd::Tier::kScalar, simd::DetectedTier()}) {
-    ScopedTier t(tier);
-    ASSERT_TRUE(t.ok());
-    std::vector<double> batch_out(cands.size());
-    EgedKernelStats batch_stats, loop_stats;
-    EgedBatchBounded(fq, ptrs.data(), taus.data(), cands.size(),
-                     batch_out.data(), &ws, &batch_stats);
-    for (size_t i = 0; i < cands.size(); ++i) {
-      double one = EgedMetricBounded(fq, cands[i], taus[i], &ws, &loop_stats);
-      ExpectBitEq(batch_out[i], one, "batched vs individual bounded EGED");
-    }
-    EXPECT_EQ(batch_stats.dp_evals, loop_stats.dp_evals);
-    EXPECT_EQ(batch_stats.lb_prunes, loop_stats.lb_prunes);
-    EXPECT_EQ(batch_stats.early_abandons, loop_stats.early_abandons);
-
-    std::vector<double> lb_out(cands.size());
-    EgedLowerBoundBatch(fq, ptrs.data(), cands.size(), lb_out.data());
-    for (size_t i = 0; i < cands.size(); ++i) {
-      ExpectBitEq(lb_out[i], EgedLowerBound(fq, cands[i]),
-                  "batched vs individual lower bound");
+  const Sequence empty;
+  const Sequence one = RandomSequence(&rng, 1, 1);
+  const Sequence other_one = RandomSequence(&rng, 1, 1);
+  const Sequence longer = RandomSequence(&rng, 12, 40);
+  for (const Sequence* x : {&empty, &one, &longer}) {
+    for (const Sequence* y : {&empty, &one, &other_one, &longer}) {
+      check(*x, *y, g);
     }
   }
 }
